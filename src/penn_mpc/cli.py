@@ -3,8 +3,9 @@
     penn-mpc <collect|train|ablate-history|explore|deploy|eval>
              [--config FILE] [--seed N] [--out DIR] [key=value ...]
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure (a FAILED
-flag file is left in the output directory).
+Exit codes: 0 success, 2 configuration error, 3 runtime failure, I/O errors
+included (a FAILED flag file is left in the output directory when it can be
+created; the next successful run into that directory removes it).
 """
 
 from __future__ import annotations
@@ -105,11 +106,15 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except PennMpcError as e:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "FAILED").write_text(f"{e}\n")
+    except (PennMpcError, OSError) as e:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "FAILED").write_text(f"{e}\n")
+        except OSError:
+            pass  # no usable output directory to flag
         print(f"error: {e}", file=sys.stderr)
         return 3
+    (out / "FAILED").unlink(missing_ok=True)
     return 0
 
 

@@ -101,7 +101,6 @@ def cmd_collect(cfg: ExperimentConfig, out_dir) -> Path:
             f"collect.rate {cfg.collect.rate} does not match plant.dt {cfg.plant.dt}")
     track = build_track(cfg.track_spec())
     params = cfg.plant_params()
-    opts = cfg.maneuver_options()
     schedule = parse_mix(cfg.collect.mix)
     target_rows = int(round(cfg.collect.minutes * 60.0 * cfg.collect.rate))
     ep_rows = max(2, int(round(cfg.collect.episode_seconds * cfg.collect.rate)))
@@ -115,7 +114,7 @@ def cmd_collect(cfg: ExperimentConfig, out_dir) -> Path:
         duration = min(ep_rows, target_rows - rows) / cfg.collect.rate
         ep = scripted_maneuver(kind, duration, direction,
                                seed=derive_seed(cfg.seed, 101, i),
-                               track=track, params=params, opts=opts)
+                               track=track, params=params)
         episodes.append(ep)
         rows += ep.n_rows
         i += 1
@@ -441,12 +440,8 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
                     w_unc=cfg.costs.w_unc if mode == "safe" else 0.0,
                     jrd_threshold=threshold, penalty_big=cfg.costs.penalty_big,
                     v_target=cfg.costs.v_target, track=track)
-    mppi_cfg = MppiConfig(k=cfg.mppi.k, horizon=cfg.mppi.t, lam=cfg.mppi.lam,
-                          sigma=tuple(cfg.mppi.sigma), seed=cfg.seed,
-                          smoothing=cfg.mppi.smoothing,
-                          smoothing_window=cfg.mppi.smoothing_window)
-    result = _run_closed_loop(model, params, track, mppi_cfg, spec,
-                              n_steps=cfg.deploy.max_steps, policy="mpc",
+    result = _run_closed_loop(model, params, track, cfg.mppi_config(cfg.seed),
+                              spec, n_steps=cfg.deploy.max_steps, policy="mpc",
                               seed=cfg.seed, v_start=cfg.deploy.v_start,
                               tag=f"deploy_{mode}",
                               envelope=2.5 * track.half_width, lap_target=laps)
@@ -549,7 +544,6 @@ def cmd_explore(cfg: ExperimentConfig, out_dir, policy: str | None = None) -> di
         raise ConfigError(f"explore policy must be explore or random, got {policy!r}")
     track = build_track(cfg.track_spec())
     params = cfg.plant_params()
-    opts = cfg.maneuver_options()
     dt = params.dt
 
     # Fixed held-out evaluation set covering all three maneuver regimes.
@@ -562,7 +556,7 @@ def cmd_explore(cfg: ExperimentConfig, out_dir, policy: str | None = None) -> di
             for direction in ("ccw", "cw"):
                 eval_eps.append(scripted_maneuver(
                     kind, per, direction, seed=derive_seed(cfg.seed, 9001, idx),
-                    track=track, params=params, opts=opts))
+                    track=track, params=params))
                 idx += 1
         save_dataset(eval_eps, eval_dir, h=cfg.model.h)
     eval_episodes, _ = load_dataset(eval_dir)
@@ -595,11 +589,7 @@ def cmd_explore(cfg: ExperimentConfig, out_dir, policy: str | None = None) -> di
     cumulative = sum(ep.n_rows for ep in buffer_episodes)
     for k in range(done_rounds, cfg.explore.n_rounds):
         if policy == "explore":
-            mppi_cfg = MppiConfig(k=cfg.mppi.k, horizon=cfg.mppi.t,
-                                  lam=cfg.mppi.lam, sigma=tuple(cfg.mppi.sigma),
-                                  seed=derive_seed(cfg.seed, 400, k),
-                                  smoothing=cfg.mppi.smoothing,
-                                  smoothing_window=cfg.mppi.smoothing_window)
+            mppi_cfg = cfg.mppi_config(derive_seed(cfg.seed, 400, k))
             spec = CostSpec(mode="explore", w_ctrl=cfg.costs.w_ctrl)
             result = _run_closed_loop(model, params, track, mppi_cfg, spec,
                                       n_steps=cfg.explore.steps_per_round,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .sim import ManeuverOptions, PlantParams, TrackSpec
+from .mppi import MppiConfig
+from .sim import PlantParams, TrackSpec
 
 
 @dataclass
@@ -153,8 +154,11 @@ class ExperimentConfig:
                          sharp_angle_deg=t.sharp_angle_deg,
                          straights=tuple(t.straights), half_width=t.half_width)
 
-    def maneuver_options(self) -> ManeuverOptions:
-        return ManeuverOptions()
+    def mppi_config(self, seed: int) -> MppiConfig:
+        m = self.mppi
+        return MppiConfig(k=m.k, horizon=m.t, lam=m.lam, sigma=tuple(m.sigma),
+                          seed=seed, smoothing=m.smoothing,
+                          smoothing_window=m.smoothing_window)
 
 
 _KEY_ALIASES = {"lambda": "lam"}

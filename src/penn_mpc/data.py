@@ -1,5 +1,5 @@
-"""Episode ingestion: history windowing, shuffled splitting, normalization
-statistics, and dataset persistence (episode CSVs plus a JSON manifest)."""
+"""Episode ingestion: history windowing, shuffled splitting, and dataset
+persistence (episode CSVs plus a JSON manifest)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import HistoryWindow, NormStats, stack_samples
+from .dynamics import HistoryWindow
 from .errors import DataError
 from .sim import EpisodeLog
 
@@ -71,12 +71,6 @@ def split(samples, ratio: float = 0.7, seed: int = 0) -> SplitDataset:
     train = [samples[i] for i in perm[:n_train]]
     test = [samples[i] for i in perm[n_train:]]
     return SplitDataset(train=train, test=test, ratio=ratio, seed=seed)
-
-
-def compute_norm_stats(train_samples) -> NormStats:
-    """Per-coordinate mean/std of window features and targets, train set only."""
-    inputs, targets = stack_samples(train_samples)
-    return NormStats.from_arrays(inputs, targets)
 
 
 def save_dataset(episodes, directory, h: int | None = None,

@@ -34,38 +34,6 @@ STD_FLOOR = 1e-6
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class StateTriple:
-    """Dynamic state: longitudinal velocity, lateral velocity, yaw rate."""
-
-    vx: float
-    vy: float
-    r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.r])
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "StateTriple":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
-class Action:
-    """Normalized controls: steer and throttle in [-1, 1] (negative throttle
-    brakes)."""
-
-    steer: float
-    throttle: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.steer, self.throttle])
-
-    def clamped(self) -> "Action":
-        return Action(float(np.clip(self.steer, -1.0, 1.0)),
-                      float(np.clip(self.throttle, -1.0, 1.0)))
-
-
 @dataclass
 class HistoryWindow:
     """Last H (state, action) pairs, oldest first, sampled every ``dt`` seconds."""
@@ -85,10 +53,6 @@ class HistoryWindow:
     @property
     def h(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def current_state(self) -> np.ndarray:
-        return self.states[-1]
 
     def flat(self) -> np.ndarray:
         """Interleave pairs oldest-first: (s0, a0, s1, a1, ...), length 5H."""
@@ -127,27 +91,6 @@ class NormStats:
     def from_arrays(cls, inputs: np.ndarray, targets: np.ndarray) -> "NormStats":
         return cls(inputs.mean(axis=0), inputs.std(axis=0),
                    targets.mean(axis=0), targets.std(axis=0))
-
-
-@dataclass
-class GaussianPrediction:
-    """Diagonal Gaussian over the state increment, in raw units per step."""
-
-    mean: np.ndarray      # (3,)
-    variance: np.ndarray  # (3,) strictly positive
-
-
-@dataclass
-class EnsemblePrediction:
-    """Per-member Gaussians over the NEXT STATE (current + predicted increment)."""
-
-    members: list[GaussianPrediction]
-
-    def means(self) -> np.ndarray:
-        return np.stack([m.mean for m in self.members])
-
-    def variances(self) -> np.ndarray:
-        return np.stack([m.variance for m in self.members])
 
 
 @dataclass
@@ -195,20 +138,18 @@ class PennModel:
     def activation(self) -> str:
         return self.members[0].activation
 
-    def member_deltas(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw-unit increment means and variances for every member.
-
-        ``features`` is (N, 5H) normalized; returns arrays of shape (B, N, 3).
-        Raises ModelError on non-finite member outputs.
-        """
-        means, varis = self._deltas_unchecked(np.atleast_2d(features))
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(varis))):
-            raise ModelError("ensemble produced non-finite output")
-        return means, varis
-
-    def _deltas_unchecked(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        feats = np.asarray(feats, dtype=np.float64)
-        means = np.empty((self.b, feats.shape[0], STATE_DIM))
+    def delta_batch(self, states: np.ndarray,
+                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched prediction surface: raw history arrays (N, H, 3) and
+        (N, H, 2) to per-member raw increment means/variances (B, N, 3).
+        Finiteness is the caller's concern (controllers mark bad particles
+        invalid)."""
+        states = np.asarray(states, dtype=np.float64)
+        actions = np.asarray(actions, dtype=np.float64)
+        n = states.shape[0]
+        flat = np.concatenate([states, actions], axis=2).reshape(n, -1)
+        feats = (flat - self.stats.input_mean) / self.stats.input_std
+        means = np.empty((self.b, n, STATE_DIM))
         varis = np.empty_like(means)
         for i, params in enumerate(self.members):
             out, _ = nn.mlp_forward(params, feats)
@@ -216,18 +157,6 @@ class PennModel:
             means[i] = mu_n * self.stats.target_std + self.stats.target_mean
             varis[i] = var_n * self.stats.target_std**2
         return means, varis
-
-    def delta_batch(self, states: np.ndarray,
-                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched rollout surface: raw history arrays (N, H, 3) and (N, H, 2)
-        to per-member raw increment means/variances (B, N, 3). Finiteness is
-        the caller's concern (controllers mark bad particles invalid)."""
-        states = np.asarray(states, dtype=np.float64)
-        actions = np.asarray(actions, dtype=np.float64)
-        n = states.shape[0]
-        flat = np.concatenate([states, actions], axis=2).reshape(n, -1)
-        feats = (flat - self.stats.input_mean) / self.stats.input_std
-        return self._deltas_unchecked(feats)
 
     def _split_head(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.mode == "deterministic":
@@ -253,80 +182,6 @@ def bound_variance(raw: np.ndarray, var_min: float = 1e-6,
     sig[~pos] = e / (1.0 + e)
     span = var_max - var_min
     return var_min + span * sig, span * sig * (1.0 - sig)
-
-
-def build_input(window: HistoryWindow, stats: NormStats) -> np.ndarray:
-    """Flatten a history window oldest-first and z-score it, giving 5H features."""
-    flat = window.flat()
-    if flat.shape[0] != stats.input_mean.shape[0]:
-        raise ShapeError(
-            f"window length {window.h} (={flat.shape[0]} features) does not match "
-            f"stats for {stats.input_mean.shape[0]} features")
-    return (flat - stats.input_mean) / stats.input_std
-
-
-def predict_member(model: PennModel, member_idx: int,
-                   features: np.ndarray) -> GaussianPrediction:
-    """Increment Gaussian from one member, de-normalized to raw units."""
-    if not 0 <= member_idx < model.b:
-        raise ShapeError(f"member index {member_idx} out of range for B={model.b}")
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.h * PAIR_DIM,):
-        raise ShapeError(
-            f"features must have length {model.h * PAIR_DIM}, got {features.shape}")
-    out, _ = nn.mlp_forward(model.members[member_idx], features)
-    if not np.all(np.isfinite(out)):
-        raise ModelError(f"member {member_idx} produced non-finite output")
-    mu_n, var_n = model._split_head(out)
-    return GaussianPrediction(
-        mean=mu_n * model.stats.target_std + model.stats.target_mean,
-        variance=var_n * model.stats.target_std**2,
-    )
-
-
-def predict_ensemble(model: PennModel, window: HistoryWindow) -> EnsemblePrediction:
-    """Per-member next-state Gaussians: N(current_state + d_mean, d_variance).
-
-    Members are evaluated independently and reported in index order.
-    """
-    if model.mode != "probabilistic":
-        raise ModelError(
-            "predict_ensemble needs a probabilistic model; this checkpoint is "
-            "deterministic and carries no uncertainty")
-    feats = build_input(window, model.stats)
-    current = window.current_state
-    preds = []
-    for i in range(model.b):
-        g = predict_member(model, i, feats)
-        preds.append(GaussianPrediction(current + g.mean, g.variance))
-    return EnsemblePrediction(preds)
-
-
-def nll_loss(mean: np.ndarray, variance: np.ndarray,
-             target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gaussian negative log-likelihood of a normalized increment target.
-
-    loss = 0.5 * sum_d [ (t_d - mu_d)^2 / var_d + ln var_d + ln 2pi ].
-    Returns (loss, dloss/dmean, dloss/dvariance).
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    variance = np.asarray(variance, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if np.any(variance <= 0.0):
-        raise ValueError("variance must be strictly positive")
-    diff = target - mean
-    loss = 0.5 * np.sum(diff**2 / variance + np.log(variance) + LOG_2PI)
-    grad_mean = -diff / variance
-    grad_var = 0.5 * (1.0 / variance - diff**2 / variance**2)
-    return float(loss), grad_mean, grad_var
-
-
-def l2_loss(mean: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over the 3 normalized targets, with exact gradient."""
-    mean = np.asarray(mean, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    diff = mean - target
-    return float(np.mean(diff**2)), 2.0 * diff / diff.size
 
 
 @dataclass
@@ -371,10 +226,16 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_rmse(model: PennModel, samples) -> EvalReport:
-    """One-step next-state RMSE of the ensemble mean versus ground truth."""
+    """One-step next-state RMSE of the ensemble mean versus ground truth.
+
+    Raises ModelError on non-finite member outputs.
+    """
     inputs, targets = stack_samples(samples)
-    feats = (inputs - model.stats.input_mean) / model.stats.input_std
-    means, _ = model.member_deltas(feats)
+    pairs = inputs.reshape(inputs.shape[0], model.h, PAIR_DIM)
+    means, varis = model.delta_batch(pairs[:, :, :STATE_DIM],
+                                     pairs[:, :, STATE_DIM:])
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(varis))):
+        raise ModelError("ensemble produced non-finite output")
     delta = means.mean(axis=0)
     # next = last window state + increment on both sides, so states cancel
     return rmse_report(delta, targets)

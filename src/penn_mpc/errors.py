@@ -34,10 +34,6 @@ class GeometryError(PennMpcError):
     """Track segment specification does not close into a loop."""
 
 
-class OffTrackError(PennMpcError):
-    """Pose is too far from the centerline to project onto the track."""
-
-
 class ControlError(PennMpcError):
     """Controller cannot produce a meaningful update (e.g. every rollout
     was invalid)."""

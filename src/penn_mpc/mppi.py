@@ -89,14 +89,6 @@ class CostSpec:
         return self.mode in ("deploy_direct", "deploy_safe")
 
 
-@dataclass
-class RolloutResult:
-    states: np.ndarray      # (T+1, 3)
-    jrd_values: np.ndarray  # (T,)
-    cost: float
-    valid: bool = True
-
-
 def sample_perturbations(cfg: MppiConfig, step_index: int = 0) -> np.ndarray:
     """(K, T, 2) zero-mean Gaussian noise with per-channel std cfg.sigma.
 
@@ -111,32 +103,48 @@ def sample_perturbations(cfg: MppiConfig, step_index: int = 0) -> np.ndarray:
     return noise
 
 
-def exploration_cost(jrd_values, actions, w_ctrl: float = 0.0) -> float:
-    """Negated accumulated disagreement plus quadratic control effort."""
-    jrd_values = np.asarray(jrd_values, dtype=np.float64)
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    return float(-np.sum(jrd_values) + w_ctrl * np.sum(actions**2))
+def rollout_cost(spec: CostSpec, seqs: np.ndarray, prev_u0: np.ndarray,
+                 traj: np.ndarray, jrd: np.ndarray,
+                 e_lat: np.ndarray | None) -> np.ndarray:
+    """Cost of K simulated rollouts, (K,).
 
+    ``seqs`` (K, T, 2) are the applied actions, ``prev_u0`` (2,) the action
+    applied before the first one, ``traj`` (K, T+1, 3) the simulated states
+    with traj[:, 0] the start, ``jrd`` (K, T) the per-step disagreement and
+    ``e_lat`` (K, T) the lateral offset after each step (deploy modes only).
+    With x_t = traj[:, t+1] and u_{-1} = prev_u0, summed over t:
 
-def deployment_cost(vx, e_lat, jrd_values, actions, prev_action,
-                    spec: CostSpec) -> float:
-    """Tracking cost plus (in deploy_safe) disagreement penalties.
+    explore        -jrd_t + w_ctrl * |u_t|^2
+    deploy_direct  w_track * e_lat_t^2 + w_speed * (vx_t - v_target)^2
+                   + w_ctrl * |u_t - u_{t-1}|^2
+    deploy_safe    the deploy_direct terms + w_unc * jrd_t
+                   + penalty_big * [jrd_t > jrd_threshold]
+    custom         custom_step_cost(x_t, u_t, u_{t-1}, jrd_t)
 
-    Per step: w_track * e_lat^2 + w_speed * (vx - v_target)^2
-    + w_ctrl * |u_t - u_{t-1}|^2, then gamma * jrd and a penalty_big
-    indicator above the threshold when the spec is deploy_safe.
+    Deploy and custom costs accumulate step by step, the tracking and the
+    disagreement terms as separate additions.
     """
-    vx = np.asarray(vx, dtype=np.float64)
-    e_lat = np.asarray(e_lat, dtype=np.float64)
-    jrd_values = np.asarray(jrd_values, dtype=np.float64)
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    du = np.diff(np.vstack([np.asarray(prev_action)[None, :], actions]), axis=0)
-    cost = float(np.sum(spec.w_track * e_lat**2
-                        + spec.w_speed * (vx - spec.v_target) ** 2
-                        + spec.w_ctrl * np.sum(du**2, axis=1)))
+    if spec.mode == "explore":
+        return -np.sum(jrd, axis=1) + spec.w_ctrl * np.sum(seqs**2, axis=(1, 2))
+    k, t_hor = seqs.shape[0], seqs.shape[1]
+    prev = np.concatenate(
+        [np.broadcast_to(prev_u0, (k, 1, 2)), seqs[:, :-1]], axis=1)
+    cost = np.zeros(k)
+    if spec.mode == "custom":
+        for t in range(t_hor):
+            cost += spec.custom_step_cost(traj[:, t + 1], seqs[:, t],
+                                          prev[:, t], jrd[:, t])
+        return cost
+    track = (spec.w_track * e_lat**2
+             + spec.w_speed * (traj[:, 1:, 0] - spec.v_target) ** 2
+             + spec.w_ctrl * np.sum((seqs - prev) ** 2, axis=2))
+    unc = None
     if spec.mode == "deploy_safe":
-        cost += float(np.sum(spec.w_unc * jrd_values
-                             + spec.penalty_big * (jrd_values > spec.jrd_threshold)))
+        unc = spec.w_unc * jrd + spec.penalty_big * (jrd > spec.jrd_threshold)
+    for t in range(t_hor):
+        cost += track[:, t]
+        if unc is not None:
+            cost += unc[:, t]
     return cost
 
 
@@ -147,28 +155,29 @@ def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
     ``members`` assigns one ensemble member per rollout (None propagates the
     ensemble-mean increment). seqs[:, 0] replaces the newest action in the
     window; the pre-replacement newest action seeds the control-rate cost.
+    A rollout is invalid, with infinite cost, when its state turns
+    non-finite or (deploy modes) its pose ends a step more than 5 track
+    half-widths from the centerline.
     Returns (costs (K,), jrd (K, T), states (K, T+1, 3), invalid (K,)).
     """
     seqs = np.asarray(seqs, dtype=np.float64)
     k, t_hor = seqs.shape[0], seqs.shape[1]
-    h = window.h
     states_hist = np.repeat(window.states[None, :, :], k, axis=0)
     actions_hist = np.repeat(window.actions[None, :, :], k, axis=0)
-    prev_u = np.repeat(window.actions[-1][None, :], k, axis=0)
     cur = states_hist[:, -1].copy()
     traj = np.empty((k, t_hor + 1, 3))
     traj[:, 0] = cur
     jrd_vals = np.zeros((k, t_hor))
     invalid = np.zeros(k, dtype=bool)
-    cost = np.zeros(k)
+    e_lat = None
     if spec.needs_pose:
         if pose is None:
             raise ControlError(f"{spec.mode} rollouts need the current pose")
         poses = np.repeat(np.asarray(pose, dtype=np.float64)[None, :], k, axis=0)
+        e_lat = np.empty((k, t_hor))
 
     for t in range(t_hor):
-        u = seqs[:, t]
-        actions_hist[:, -1] = u
+        actions_hist[:, -1] = seqs[:, t]
         means, varis = model.delta_batch(states_hist, actions_hist)
         if model.b >= 2:
             next_means = cur[None, :, :] + means
@@ -186,54 +195,25 @@ def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
         if bad.any():
             invalid |= bad
             new[bad] = cur[bad]  # freeze so downstream math stays finite
-        if spec.mode == "custom":
-            cost += spec.custom_step_cost(new, u, prev_u, jrd_t)
-        elif spec.needs_pose:
+        if spec.needs_pose:
             dtm = window.dt
             yaw = poses[:, 2]
             poses[:, 0] += (new[:, 0] * np.cos(yaw) - new[:, 1] * np.sin(yaw)) * dtm
             poses[:, 1] += (new[:, 0] * np.sin(yaw) + new[:, 1] * np.cos(yaw)) * dtm
             poses[:, 2] += new[:, 2] * dtm
-            _, e_lat, _, dist = track_frame_batch(poses[:, :2], poses[:, 2],
-                                                  spec.track)
+            _, e_lat_t, _, dist = track_frame_batch(poses[:, :2], poses[:, 2],
+                                                    spec.track)
+            e_lat[:, t] = e_lat_t
             invalid |= dist > 5.0 * spec.track.half_width
-            du2 = np.sum((u - prev_u) ** 2, axis=1)
-            cost += (spec.w_track * e_lat**2
-                     + spec.w_speed * (new[:, 0] - spec.v_target) ** 2
-                     + spec.w_ctrl * du2)
-            if spec.mode == "deploy_safe":
-                cost += (spec.w_unc * jrd_t
-                         + spec.penalty_big * (jrd_t > spec.jrd_threshold))
         # history shift (functional per particle)
         states_hist[:, :-1] = states_hist[:, 1:]
         states_hist[:, -1] = new
         actions_hist[:, :-1] = actions_hist[:, 1:]
         cur = new
         traj[:, t + 1] = cur
-        prev_u = u
-    if spec.mode == "explore":
-        cost = -np.sum(jrd_vals, axis=1) + spec.w_ctrl * np.sum(seqs**2, axis=(1, 2))
+    cost = rollout_cost(spec, seqs, window.actions[-1], traj, jrd_vals, e_lat)
     cost = np.where(invalid, np.inf, cost)
     return cost, jrd_vals, traj, invalid
-
-
-def rollout(model, window, seq: np.ndarray, spec: CostSpec,
-            member: int | None = 0, pose=None) -> RolloutResult:
-    """Roll one action sequence through the model and cost it.
-
-    ``member`` fixes which ensemble member's mean propagates the particle
-    (None uses the ensemble mean); all members are evaluated each step to form
-    the disagreement mixture. A non-finite state marks the rollout invalid
-    with infinite cost.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[1] != 2:
-        raise ShapeError(f"sequence must be (T, 2), got {seq.shape}")
-    members = None if member is None else np.array([int(member)])
-    costs, jrd_vals, traj, invalid = _rollout_batch(
-        model, window, seq[None, :, :], spec, members, pose)
-    return RolloutResult(states=traj[0], jrd_values=jrd_vals[0],
-                         cost=float(costs[0]), valid=not bool(invalid[0]))
 
 
 def mppi_weights(costs: np.ndarray, lam: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DEFAULT_STATE_BOUNDS
-from .errors import DataError, GeometryError, OffTrackError
+from .errors import DataError, GeometryError
 
 log = logging.getLogger(__name__)
 
@@ -121,10 +121,7 @@ def plant_step(s: PlantState, action, p: PlantParams) -> PlantState:
     Integrates with RK4 at dt / n_substeps fixed substeps. States outside the
     sanity bounds are clamped with a logged warning.
     """
-    if hasattr(action, "steer"):
-        steer, throttle = float(action.steer), float(action.throttle)
-    else:
-        steer, throttle = float(action[0]), float(action[1])
+    steer, throttle = float(action[0]), float(action[1])
     steer_cmd = min(1.0, max(-1.0, steer)) * p.max_steer
     accel_cmd = min(1.0, max(-1.0, throttle)) * p.max_accel
     y = np.array([s.vx, s.vy, s.r, s.x, s.y, s.yaw, s.steer_act, s.accel_act])
@@ -356,21 +353,6 @@ def track_frame_batch(xy: np.ndarray, yaw: np.ndarray, track: Track):
     head = (1 - t) * track.heading[i] + t * track.heading[i + 1]
     e_psi = wrap_angle(yaw - head)
     return s, e_lat, e_psi, dist
-
-
-def track_frame(pose, track: Track) -> dict:
-    """Arc length, signed lateral offset, and heading error of one pose.
-
-    Raises OffTrackError when the pose is farther than 5 half-widths from the
-    centerline.
-    """
-    pose = np.asarray(pose, dtype=np.float64)
-    s, e_lat, e_psi, dist = track_frame_batch(pose[None, :2], pose[2:3], track)
-    if dist[0] > 5.0 * track.half_width:
-        raise OffTrackError(
-            f"pose {dist[0]:.2f} m from centerline (limit "
-            f"{5.0 * track.half_width:.2f} m)")
-    return {"s": float(s[0]), "e_lat": float(e_lat[0]), "e_psi": float(e_psi[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from penn_mpc import commands, config
+from penn_mpc import cli, commands, config
 from penn_mpc.errors import ConfigError, DataError
 
 TINY = [
@@ -289,6 +289,27 @@ def test_cli_collect_and_exit_codes(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 3
     assert (tmp_path / "e" / "FAILED").exists()
+
+
+def test_cli_success_clears_stale_failed_flag(tmp_path):
+    out = tmp_path / "run"
+    code = cli.main(["eval", "--checkpoint", str(tmp_path / "missing.json"),
+                     "--data", str(tmp_path / "nodata"), "--out", str(out)])
+    assert code == 3 and (out / "FAILED").exists()
+    code = cli.main(["collect", "--minutes", "0.05", "--out", str(out),
+                     "collect.episode_seconds=3"])
+    assert code == 0
+    assert not (out / "FAILED").exists()
+
+
+def test_cli_os_error_exits_3(tmp_path, capsys):
+    # --out names an existing file, so the output directory cannot be made
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    code = cli.main(["collect", "--minutes", "0.05", "--out", str(blocker)])
+    assert code == 3
+    assert blocker.read_text() == "keep\n"
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_effective_config_round_trips(tmp_path):

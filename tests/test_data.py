@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from penn_mpc import data
-from penn_mpc.dynamics import STD_FLOOR
+from penn_mpc.dynamics import (STD_FLOOR, NormStats, TrainConfig, build_model,
+                               stack_samples, train)
 from penn_mpc.errors import DataError
 from penn_mpc.sim import EpisodeLog
 
@@ -85,9 +86,21 @@ def test_split_needs_enough_samples():
         data.split(samples, 0.7, seed=0)
 
 
+def trained_stats(train_samples, test_samples=None):
+    """Normalization statistics of a model trained for one epoch; they are
+    those of the stacked train samples."""
+    model0 = build_model(h=train_samples[0].window.h, b=1, hidden=[4])
+    model, _ = train(model0, train_samples, test_samples or train_samples[:1],
+                     TrainConfig(epochs=1, batch_size=len(train_samples)))
+    expect = NormStats.from_arrays(*stack_samples(train_samples))
+    for name in ("input_mean", "input_std", "target_mean", "target_std"):
+        assert np.array_equal(getattr(model.stats, name), getattr(expect, name))
+    return model.stats
+
+
 def test_norm_stats_floor():
     samples = data.window_episodes([make_episode(20, constant=True)], h=2)
-    stats = data.compute_norm_stats(samples)
+    stats = trained_stats(samples)
     assert np.all(stats.input_std == STD_FLOOR)
     assert np.all(stats.target_std == STD_FLOOR)
     assert np.all(stats.input_mean == 0.0)
@@ -100,15 +113,15 @@ def test_norm_stats_standard_normal():
                       actions=rng.normal(size=(n, 2)),
                       poses=np.zeros((n, 3)), dt=0.1)]
     samples = data.window_episodes(eps, h=1)
-    stats = data.compute_norm_stats(samples)
+    stats = trained_stats(samples)
     assert np.all(np.abs(stats.input_mean) < 0.02)
     assert np.all(np.abs(stats.input_std - 1.0) < 0.02)
 
 
 def test_norm_stats_order_independent():
     samples = data.window_episodes([make_episode(50, seed=5)], h=3)
-    a = data.compute_norm_stats(samples)
-    b = data.compute_norm_stats(list(reversed(samples)))
+    a = trained_stats(samples)
+    b = trained_stats(list(reversed(samples)))
     assert np.allclose(a.input_mean, b.input_mean, atol=1e-12)
     assert np.allclose(a.input_std, b.input_std, atol=1e-12)
 
@@ -163,9 +176,6 @@ def test_no_leakage_recomputation():
     # stats computed on the split's train part only
     samples = data.window_episodes([make_episode(200, seed=10)], h=2)
     ds = data.split(samples, 0.7, seed=3)
-    stats = data.compute_norm_stats(ds.train)
-    from penn_mpc.dynamics import stack_samples
-    inputs, targets = stack_samples(ds.train)
-    assert np.allclose(stats.input_mean, inputs.mean(axis=0), atol=1e-14)
+    stats = trained_stats(ds.train, ds.test)
     all_inputs, _ = stack_samples(samples)
     assert not np.allclose(stats.input_mean, all_inputs.mean(axis=0), atol=1e-9)

@@ -4,9 +4,10 @@ evaluation pooling, and checkpoint persistence."""
 import numpy as np
 import pytest
 
+from penn_mpc import commands, config, mppi, nn
 from penn_mpc import dynamics as dyn
-from penn_mpc import nn
-from penn_mpc.errors import CheckpointError, ModelError, ShapeError, TrainingError
+from penn_mpc.errors import (CheckpointError, ConfigError, ModelError, ShapeError,
+                             TrainingError)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -18,14 +19,34 @@ def window():
                              rng.uniform(-1, 1, size=(4, 2)))
 
 
+def _stub_model(h=2, b=3, mode="probabilistic", stats=None, seed=0):
+    return dyn.build_model(h=h, b=b, hidden=[8], mode=mode, seed=seed,
+                           stats=stats)
+
+
+def _one(window):
+    """A single window as the (1, H, 3) and (1, H, 2) batch delta_batch takes."""
+    return window.states[None], window.actions[None]
+
+
+def _zero_member(model, i=0):
+    m = model.members[i]
+    for layer in m.layers:
+        layer.weights[:] = 0.0
+        layer.biases[:] = 0.0
+    return m
+
+
 def test_build_input_identity_stats(window):
-    stats = dyn.NormStats.identity(4)
-    feats = dyn.build_input(window, stats)
-    assert feats.shape == (20,)
-    assert np.array_equal(feats, window.flat())
-    # oldest-first interleave: first 3 entries are the oldest state
-    assert np.array_equal(feats[:3], window.states[0])
-    assert np.array_equal(feats[3:5], window.actions[0])
+    # delta_batch feeds the network the window interleaved oldest first
+    flat = window.flat()
+    assert flat.shape == (20,)
+    assert np.array_equal(flat[:3], window.states[0])
+    assert np.array_equal(flat[3:5], window.actions[0])
+    model = _stub_model(h=4, b=1)
+    means, _ = model.delta_batch(*_one(window))
+    out, _ = nn.mlp_forward(model.members[0], flat[None])
+    assert np.array_equal(means[0], out[:, :3])
 
 
 def test_build_input_constant_feature_floored():
@@ -35,72 +56,67 @@ def test_build_input_constant_feature_floored():
     samples_flat = np.stack([w.flat(), w.flat()])
     stats = dyn.NormStats.from_arrays(samples_flat, np.zeros((2, 3)))
     assert np.all(stats.input_std == dyn.STD_FLOOR)
-    feats = dyn.build_input(w, stats)
-    assert np.allclose(feats, 0.0)
+    # a floored constant feature normalizes to exactly zero
+    model = _stub_model(h=3, b=1, stats=stats)
+    means, varis = model.delta_batch(*_one(w))
+    out, _ = nn.mlp_forward(model.members[0], np.zeros((1, 15)))
+    mu_n, var_n = model._split_head(out)
+    assert np.array_equal(means[0], mu_n * stats.target_std + stats.target_mean)
+    assert np.array_equal(varis[0], var_n * stats.target_std**2)
 
 
-def test_build_input_wrong_h(window):
-    stats = dyn.NormStats.identity(6)
+def test_build_input_wrong_h():
+    # a network whose input width does not match 5H is rejected
+    members = _stub_model(h=4).members
     with pytest.raises(ShapeError):
-        dyn.build_input(window, stats)
-
-
-def _stub_model(h=2, b=3, mode="probabilistic", stats=None, seed=0):
-    return dyn.build_model(h=h, b=b, hidden=[8], mode=mode, seed=seed,
-                           stats=stats)
+        dyn.PennModel(members=members, stats=dyn.NormStats.identity(6), h=6)
 
 
 def test_predict_member_variance_clamps():
     model = _stub_model()
     # force the variance head to huge negative / positive raw outputs
-    feats = np.zeros(10)
+    w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
     for raw, expect in ((-1e3, model.var_min), (1e3, model.var_max)):
-        m = model.members[0]
-        for layer in m.layers:
-            layer.weights[:] = 0.0
-            layer.biases[:] = 0.0
+        m = _zero_member(model)
         m.layers[-1].biases[3:] = raw
-        pred = dyn.predict_member(model, 0, feats)
-        assert pred.variance == pytest.approx(np.full(3, expect), rel=1e-12)
+        _, varis = model.delta_batch(*_one(w))
+        assert varis[0, 0] == pytest.approx(np.full(3, expect), rel=1e-12)
 
 
 def test_predict_member_denormalizes_mean():
     stats = dyn.NormStats(np.zeros(10), np.ones(10),
                           np.zeros(3), np.full(3, 2.0))
     model = _stub_model(stats=stats)
-    m = model.members[0]
-    for layer in m.layers:
-        layer.weights[:] = 0.0
-        layer.biases[:] = 0.0
-    m.layers[-1].biases[:3] = 1.0  # normalized mean head = 1
-    pred = dyn.predict_member(model, 0, np.zeros(10))
-    assert np.allclose(pred.mean, 2.0)  # mu_raw = mu_hat * std + mean
+    _zero_member(model).layers[-1].biases[:3] = 1.0  # normalized mean head = 1
+    w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
+    means, varis = model.delta_batch(*_one(w))
+    assert np.allclose(means[0], 2.0)  # mu_raw = mu_hat * std + mean
     # variance de-normalizes with std^2
-    raw_var = pred.variance
     norm_var = dyn.bound_variance(np.zeros(3), model.var_min, model.var_max)[0]
-    assert np.allclose(raw_var, norm_var * 4.0)
+    assert np.allclose(varis[0], norm_var * 4.0)
 
 
 def test_predict_member_index_and_shape_guards():
     model = _stub_model()
-    with pytest.raises(ShapeError):
-        dyn.predict_member(model, 5, np.zeros(10))
-    with pytest.raises(ShapeError):
-        dyn.predict_member(model, 0, np.zeros(11))
+    other = _stub_model(b=1, mode="deterministic").members
+    with pytest.raises(ShapeError):  # members of different architectures
+        dyn.PennModel(members=model.members + other, stats=model.stats, h=2)
+    with pytest.raises(ShapeError):  # 3 outputs in probabilistic mode
+        dyn.PennModel(members=other, stats=model.stats, h=2)
 
 
 def test_predict_ensemble_additive_increment():
+    # a rollout step adds each member's increment to the current state
     model = _stub_model(h=2, b=2)
-    for m in model.members:
-        for layer in m.layers:
-            layer.weights[:] = 0.0
-            layer.biases[:] = 0.0
-        m.layers[-1].biases[:3] = [0.5, 0.0, 0.0]
+    for i in range(model.b):
+        _zero_member(model, i).layers[-1].biases[:3] = [0.5, 0.0, 0.0]
     w = dyn.HistoryWindow(np.array([[1.0, 0, 0], [1.0, 0, 0]]), np.zeros((2, 2)))
-    pred = dyn.predict_ensemble(model, w)
-    assert len(pred.members) == 2
-    for g in pred.members:
-        assert np.allclose(g.mean, [1.5, 0.0, 0.0])
+    for member in (0, 1):
+        _, _, traj, invalid = mppi._rollout_batch(
+            model, w, np.zeros((1, 1, 2)), mppi.CostSpec(mode="explore"),
+            np.array([member]))
+        assert not invalid[0]
+        assert np.allclose(traj[0, 1], [1.5, 0.0, 0.0])
 
 
 def test_predict_ensemble_identical_members_agree():
@@ -108,71 +124,83 @@ def test_predict_ensemble_identical_members_agree():
     src = model.members[0]
     model.members = [src.copy() for _ in range(3)]
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    pred = dyn.predict_ensemble(model, w)
-    for g in pred.members[1:]:
-        assert np.array_equal(g.mean, pred.members[0].mean)
-        assert np.array_equal(g.variance, pred.members[0].variance)
+    means, varis = model.delta_batch(*_one(w))
+    for i in (1, 2):
+        assert np.array_equal(means[i], means[0])
+        assert np.array_equal(varis[i], varis[0])
 
 
 def test_predict_ensemble_member_order():
     model = _stub_model(b=4, seed=9)
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    pred = dyn.predict_ensemble(model, w)
-    feats = dyn.build_input(w, model.stats)
+    means, varis = model.delta_batch(*_one(w))
     for i in range(4):
-        g = dyn.predict_member(model, i, feats)
-        assert np.array_equal(pred.members[i].mean, w.current_state + g.mean)
+        out, _ = nn.mlp_forward(model.members[i], w.flat()[None])
+        mu_n, var_n = model._split_head(out)
+        assert np.array_equal(means[i], mu_n)  # identity stats
+        assert np.array_equal(varis[i], var_n)
 
 
-def test_predict_ensemble_rejects_deterministic():
-    model = _stub_model(mode="deterministic")
-    w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    with pytest.raises(ModelError):
-        dyn.predict_ensemble(model, w)
+def _head_loss(mode, mu, raw_or_none, target, var_min=1e-6, var_max=10.0):
+    """Training loss and head gradient of one (1, 3) output row."""
+    model = dyn.build_model(h=1, b=1, hidden=[2], mode=mode,
+                            var_min=var_min, var_max=var_max)
+    out = mu if raw_or_none is None else np.concatenate([mu, raw_or_none], axis=1)
+    return dyn._head_loss_and_grad(model, out, target)
+
+
+def _raw_for_variance(var, var_min=1e-6, var_max=10.0):
+    p = (var - var_min) / (var_max - var_min)
+    return np.log(p / (1.0 - p))
 
 
 def test_nll_at_mean_unit_variance():
-    loss, g_mu, g_var = dyn.nll_loss(np.array([0.7]), np.array([1.0]),
-                                     np.array([0.7]))
-    assert loss == pytest.approx(0.5 * LOG_2PI, abs=1e-12)  # ~0.918939
-    assert g_mu[0] == pytest.approx(0.0, abs=1e-15)
+    mu = np.full((1, 3), 0.7)
+    raw = np.full((1, 3), _raw_for_variance(1.0))
+    loss, grad = _head_loss("probabilistic", mu, raw, mu.copy())
+    assert loss == pytest.approx(1.5 * LOG_2PI, abs=1e-12)  # ~0.918939 a dim
+    assert np.all(np.abs(grad[:, :3]) < 1e-15)
 
 
 def test_nll_unit_residual():
-    loss, _, _ = dyn.nll_loss(np.array([0.0]), np.array([1.0]), np.array([1.0]))
-    assert loss == pytest.approx(0.5 * (1.0 + LOG_2PI), abs=1e-12)  # ~1.418939
+    raw = np.full((1, 3), _raw_for_variance(1.0))
+    loss, _ = _head_loss("probabilistic", np.zeros((1, 3)), raw, np.ones((1, 3)))
+    assert loss == pytest.approx(1.5 * (1.0 + LOG_2PI), abs=1e-12)  # ~1.418939
 
 
 def test_nll_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        dyn.nll_loss(np.zeros(1), np.zeros(1), np.zeros(1))
+    # the bounded head keeps the variance >= var_min > 0, so extreme raw
+    # outputs still give a finite loss and gradient
+    for raw in (-1e3, 1e3):
+        loss, grad = _head_loss("probabilistic", np.zeros((1, 3)),
+                                np.full((1, 3), raw), np.ones((1, 3)))
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 def test_nll_gradients_match_fd():
     rng = np.random.default_rng(1)
-    mu = rng.normal(size=3)
-    var = rng.uniform(0.3, 2.0, 3)
-    target = rng.normal(size=3)
-    loss, g_mu, g_var = dyn.nll_loss(mu, var, target)
+    out = np.concatenate([rng.normal(size=(1, 3)),
+                          _raw_for_variance(rng.uniform(0.3, 2.0, (1, 3)))],
+                         axis=1)
+    target = rng.normal(size=(1, 3))
+    model = dyn.build_model(h=1, b=1, hidden=[2])
+    _, grad = dyn._head_loss_and_grad(model, out, target)
     h = 1e-6
-    for i in range(3):
-        dmu = np.zeros(3)
-        dmu[i] = h
-        fd = (dyn.nll_loss(mu + dmu, var, target)[0]
-              - dyn.nll_loss(mu - dmu, var, target)[0]) / (2 * h)
-        assert fd == pytest.approx(g_mu[i], rel=1e-5)
-        fd = (dyn.nll_loss(mu, var + dmu, target)[0]
-              - dyn.nll_loss(mu, var - dmu, target)[0]) / (2 * h)
-        assert fd == pytest.approx(g_var[i], rel=1e-5)
+    for i in range(6):
+        d = np.zeros_like(out)
+        d[0, i] = h
+        fd = (dyn._head_loss_and_grad(model, out + d, target)[0]
+              - dyn._head_loss_and_grad(model, out - d, target)[0]) / (2 * h)
+        assert fd == pytest.approx(grad[0, i], rel=1e-5)
 
 
 def test_l2_loss_values_and_grad():
-    pred = np.array([1.0, 0.0, 0.0])
-    target = np.zeros(3)
-    loss, grad = dyn.l2_loss(pred, target)
+    pred = np.array([[1.0, 0.0, 0.0]])
+    target = np.zeros((1, 3))
+    loss, grad = _head_loss("deterministic", pred, None, target)
     assert loss == pytest.approx(1.0 / 3.0)
     assert np.allclose(grad, 2.0 * pred / 3.0)
-    loss0, _ = dyn.l2_loss(target, target)
+    loss0, _ = _head_loss("deterministic", target, None, target)
     assert loss0 == 0.0
 
 
@@ -301,6 +329,14 @@ def test_evaluate_rmse_perfect_predictor():
     assert rep.rmse_total == 0.0 and rep.rmse_vx == 0.0
 
 
+def test_evaluate_rmse_rejects_nonfinite_output():
+    samples = _linear_samples(5, 2, seed=8)
+    model = dyn.build_model(h=2, b=2, hidden=[4], seed=0)
+    model.members[1].layers[-1].biases[0] = np.nan
+    with pytest.raises(ModelError):
+        dyn.evaluate_rmse(model, samples)
+
+
 def test_rmse_pooling_matches_model_comparison_table():
     # constant per-dim errors reproduce the published per-dim/Total relation
     n = 400
@@ -334,25 +370,25 @@ def test_normalization_consistency():
     model = _stub_model(h=2, b=1, stats=stats, seed=11)
     raw_window = dyn.HistoryWindow(inputs[0, :6].reshape(2, 3)[:, :3],
                                    inputs[0, [3, 4, 8, 9]].reshape(2, 2))
-    feats = dyn.build_input(raw_window, stats)
-    pred = dyn.predict_member(model, 0, feats)
-    out, _ = nn.mlp_forward(model.members[0], feats)
+    means, varis = model.delta_batch(*_one(raw_window))
+    feats = (raw_window.flat() - stats.input_mean) / stats.input_std
+    out, _ = nn.mlp_forward(model.members[0], feats[None])
     mu_n, var_n = model._split_head(out)
-    assert np.all(np.abs(pred.mean - (mu_n * stats.target_std
-                                      + stats.target_mean)) < 1e-9)
-    assert np.all(np.abs(pred.variance - var_n * stats.target_std**2) < 1e-9)
+    assert np.all(np.abs(means[0] - (mu_n * stats.target_std
+                                     + stats.target_mean)) < 1e-9)
+    assert np.all(np.abs(varis[0] - var_n * stats.target_std**2) < 1e-9)
 
 
 def test_member_permutation_only_permutes_output():
     model = _stub_model(h=2, b=3, seed=12)
     w = dyn.HistoryWindow(np.ones((2, 3)) * 0.2, np.ones((2, 2)) * 0.1)
-    base = dyn.predict_ensemble(model, w)
+    base, _ = model.delta_batch(*_one(w))
     permuted = dyn.PennModel(members=[model.members[i] for i in (2, 0, 1)],
                              stats=model.stats, h=model.h, mode=model.mode,
                              var_min=model.var_min, var_max=model.var_max)
-    out = dyn.predict_ensemble(permuted, w)
+    out, _ = permuted.delta_batch(*_one(w))
     for i, j in enumerate((2, 0, 1)):
-        assert np.array_equal(out.members[i].mean, base.members[j].mean)
+        assert np.array_equal(out[i], base[j])
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -364,12 +400,11 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     loaded = dyn.load_checkpoint(path)
     assert loaded.h == model.h and loaded.b == model.b
     assert loaded.mode == model.mode
-    feats = dyn.build_input(samples[0].window, model.stats)
-    for i in range(model.b):
-        a = dyn.predict_member(model, i, feats)
-        b = dyn.predict_member(loaded, i, feats)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
+    states = np.stack([s.window.states for s in samples])
+    actions = np.stack([s.window.actions for s in samples])
+    for a, b in zip(model.delta_batch(states, actions),
+                    loaded.delta_batch(states, actions)):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_truncated_file(tmp_path):
@@ -438,10 +473,16 @@ def test_capacity_sanity_on_plant_data():
 
 
 def test_checkpoint_deterministic_mode_guard(tmp_path):
+    # a reloaded deterministic checkpoint carries no uncertainty, and safe
+    # deployment refuses it
     model = _stub_model(mode="deterministic")
     path = tmp_path / "model.json"
     dyn.save_checkpoint(model, path)
     loaded = dyn.load_checkpoint(path)
+    assert loaded.mode == "deterministic"
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    with pytest.raises(ModelError):
-        dyn.predict_ensemble(loaded, w)
+    _, varis = loaded.delta_batch(*_one(w))
+    assert np.all(varis == loaded.var_min)
+    with pytest.raises(ConfigError):
+        commands.cmd_deploy(config.ExperimentConfig(), tmp_path / "deploy",
+                            checkpoint_path=path, mode="safe")

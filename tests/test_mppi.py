@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from penn_mpc import mppi
-from penn_mpc.dynamics import HistoryWindow
+from penn_mpc.dynamics import HistoryWindow, build_model
 from penn_mpc.errors import ConfigError, ControlError
 from penn_mpc.jrd import jrd_batch
 from penn_mpc.sim import TrackSpec, build_track
+
+TRACK = build_track(TrackSpec())
 
 
 class StubModel:
@@ -39,6 +44,27 @@ def zero_window(h=2, state=None):
 
 
 JRD_PAIR = 0.3798854930417224  # two unit-variance members, means 2 apart
+
+
+def rollout_one(model, window, seq, spec, member=0, pose=None):
+    """One (T, 2) sequence through the batched rollout: (cost, jrd (T,),
+    states (T+1, 3), valid)."""
+    members = None if member is None else np.array([member])
+    costs, jrd_vals, traj, invalid = mppi._rollout_batch(
+        model, window, np.asarray(seq, dtype=float)[None], spec, members, pose)
+    return costs[0], jrd_vals[0], traj[0], not invalid[0]
+
+
+def cost_of(spec, seq, jrd_vals, vx=None, e_lat=None, prev_u0=(0.0, 0.0)):
+    """rollout_cost of one rollout from per-step vx, e_lat and jrd."""
+    seq = np.atleast_2d(np.asarray(seq, dtype=float))
+    t_hor = seq.shape[0]
+    traj = np.zeros((1, t_hor + 1, 3))
+    if vx is not None:
+        traj[0, 1:, 0] = vx
+    e = None if e_lat is None else np.asarray(e_lat, dtype=float)[None]
+    return float(mppi.rollout_cost(spec, seq[None], np.asarray(prev_u0), traj,
+                                   np.asarray(jrd_vals, dtype=float)[None], e)[0])
 
 
 def test_sample_perturbations_zero_sigma():
@@ -77,12 +103,12 @@ def test_rollout_zero_delta_constant_trajectory():
     model = StubModel(np.zeros((3, 3)))
     window = zero_window(state=np.array([2.0, 0.1, -0.3]))
     seq = np.zeros((6, 2))
-    res = mppi.rollout(model, window, seq, mppi.CostSpec(mode="explore"),
-                       member=0)
-    assert res.valid
-    assert np.allclose(res.states, np.tile([2.0, 0.1, -0.3], (7, 1)))
-    assert np.allclose(res.jrd_values, 0.0)  # identical members agree
-    assert res.cost == pytest.approx(0.0)
+    cost, jrd_vals, states, valid = rollout_one(
+        model, window, seq, mppi.CostSpec(mode="explore"))
+    assert valid
+    assert np.allclose(states, np.tile([2.0, 0.1, -0.3], (7, 1)))
+    assert np.allclose(jrd_vals, 0.0)  # identical members agree
+    assert cost == pytest.approx(0.0)
 
 
 def test_rollout_jrd_from_member_disagreement():
@@ -90,70 +116,88 @@ def test_rollout_jrd_from_member_disagreement():
     model = StubModel(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                       variances=np.ones((2, 3)))
     window = zero_window()
-    res = mppi.rollout(model, window, np.zeros((4, 2)),
-                       mppi.CostSpec(mode="explore"), member=0)
+    cost, jrd_vals, _, _ = rollout_one(model, window, np.zeros((4, 2)),
+                                       mppi.CostSpec(mode="explore"))
     # per-dim mixture: one dim separated (jrd_pair), two identical; the
     # 3-d divergence of the product mixture is the oracle-checked value below
     means = np.array([[[0.0, 0, 0], [2.0, 0, 0]]])
     expect = jrd_batch(means, np.ones((1, 2, 3)))[0]
-    assert np.allclose(res.jrd_values, expect)
-    assert res.cost == pytest.approx(-4 * expect)
+    assert np.allclose(jrd_vals, expect)
+    assert cost == pytest.approx(-4 * expect)
 
 
 def test_rollout_member_assignment_fixed():
     model = StubModel(np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]]))
     window = zero_window()
-    r0 = mppi.rollout(model, window, np.zeros((5, 2)),
-                      mppi.CostSpec(mode="explore"), member=0)
-    r1 = mppi.rollout(model, window, np.zeros((5, 2)),
-                      mppi.CostSpec(mode="explore"), member=1)
-    assert r0.states[-1][0] == pytest.approx(0.5)
-    assert r1.states[-1][0] == pytest.approx(-0.5)
-    rm = mppi.rollout(model, window, np.zeros((5, 2)),
-                      mppi.CostSpec(mode="explore"), member=None)
-    assert rm.states[-1][0] == pytest.approx(0.0)
+    spec = mppi.CostSpec(mode="explore")
+    _, _, s0, _ = rollout_one(model, window, np.zeros((5, 2)), spec, member=0)
+    _, _, s1, _ = rollout_one(model, window, np.zeros((5, 2)), spec, member=1)
+    assert s0[-1][0] == pytest.approx(0.5)
+    assert s1[-1][0] == pytest.approx(-0.5)
+    _, _, sm, _ = rollout_one(model, window, np.zeros((5, 2)), spec,
+                              member=None)
+    assert sm[-1][0] == pytest.approx(0.0)
 
 
 def test_rollout_invalid_on_nonfinite():
     model = StubModel(np.array([[np.nan, 0.0, 0.0]]))
-    res = mppi.rollout(model, zero_window(), np.zeros((3, 2)),
-                       mppi.CostSpec(mode="explore"), member=0)
-    assert not res.valid
-    assert res.cost == math.inf
+    cost, _, _, valid = rollout_one(model, zero_window(), np.zeros((3, 2)),
+                                    mppi.CostSpec(mode="explore"))
+    assert not valid
+    assert cost == math.inf
+
+
+def test_deploy_rollout_far_off_track_invalid():
+    # a pose more than 5 half-widths from the centerline marks the rollout
+    # invalid with infinite cost; the same rollout on the centerline is not
+    model = StubModel(np.zeros((1, 3)))
+    window = zero_window(state=np.array([8.0, 0.0, 0.0]))
+    spec = mppi.CostSpec(mode="deploy_direct", track=TRACK)
+    pos, head, _ = TRACK.point_at(0.0)
+    on_track = np.array([pos[0], pos[1], head])
+    cost, _, _, valid = rollout_one(model, window, np.zeros((3, 2)), spec,
+                                    pose=on_track)
+    assert valid and math.isfinite(cost)
+    far = on_track + np.array([0.0, -500.0, 0.0])
+    cost, _, _, valid = rollout_one(model, window, np.zeros((3, 2)), spec,
+                                    pose=far)
+    assert not valid
+    assert cost == math.inf
 
 
 def test_exploration_cost_values():
-    assert mppi.exploration_cost([0.0, 0.0], np.zeros((2, 2))) == 0.0
-    base = mppi.exploration_cost([0.3, 0.2], np.zeros((2, 2)))
-    doubled = mppi.exploration_cost([0.6, 0.4], np.zeros((2, 2)))
+    spec = mppi.CostSpec(mode="explore", w_ctrl=0.0)
+    assert cost_of(spec, np.zeros((2, 2)), [0.0, 0.0]) == 0.0
+    base = cost_of(spec, np.zeros((2, 2)), [0.3, 0.2])
+    doubled = cost_of(spec, np.zeros((2, 2)), [0.6, 0.4])
     assert doubled == pytest.approx(2 * base)
-    v = mppi.exploration_cost([JRD_PAIR, JRD_PAIR], np.zeros((2, 2)), w_ctrl=0.0)
+    v = cost_of(spec, np.zeros((2, 2)), [JRD_PAIR, JRD_PAIR])
     assert v == pytest.approx(-2 * JRD_PAIR)  # ~-0.76 for the pair fixture
-    with_ctrl = mppi.exploration_cost([0.0], np.array([[0.5, -0.5]]), w_ctrl=2.0)
+    with_ctrl = cost_of(mppi.CostSpec(mode="explore", w_ctrl=2.0),
+                        np.array([[0.5, -0.5]]), [0.0])
     assert with_ctrl == pytest.approx(2.0 * 0.5)
 
 
 def test_deployment_cost_tracking_terms():
     spec = make_deploy_spec("deploy_direct", w_track=2.0, w_speed=0.0, w_ctrl=0.0)
-    cost = mppi.deployment_cost(np.full(5, spec.v_target), np.ones(5),
-                                np.zeros(5), np.zeros((5, 2)), np.zeros(2), spec)
+    cost = cost_of(spec, np.zeros((5, 2)), np.zeros(5),
+                   vx=np.full(5, spec.v_target), e_lat=np.ones(5))
     assert cost == pytest.approx(10.0)  # e_lat=1 for 5 steps, w_track=2
 
 
 def test_deployment_cost_zero_on_reference():
     spec = make_deploy_spec("deploy_direct")
-    cost = mppi.deployment_cost(np.full(4, spec.v_target), np.zeros(4),
-                                np.zeros(4), np.zeros((4, 2)), np.zeros(2), spec)
+    cost = cost_of(spec, np.zeros((4, 2)), np.zeros(4),
+                   vx=np.full(4, spec.v_target), e_lat=np.zeros(4))
     assert cost == 0.0
 
 
 def test_deploy_direct_ignores_jrd():
     spec = make_deploy_spec("deploy_direct")
-    a = mppi.deployment_cost(np.full(4, spec.v_target), np.zeros(4),
-                             np.zeros(4), np.zeros((4, 2)), np.zeros(2), spec)
-    b = mppi.deployment_cost(np.full(4, spec.v_target), np.zeros(4),
-                             np.full(4, 10.0), np.zeros((4, 2)), np.zeros(2),
-                             spec)
+    vx = np.full(4, spec.v_target)
+    a = cost_of(spec, np.zeros((4, 2)), np.zeros(4), vx=vx, e_lat=np.zeros(4))
+    b = cost_of(spec, np.zeros((4, 2)), np.full(4, 10.0), vx=vx,
+                e_lat=np.zeros(4))
     assert a == b
 
 
@@ -162,8 +206,8 @@ def test_deploy_safe_threshold_penalty_once_per_step():
                             penalty_big=100.0, w_track=0.0, w_speed=0.0,
                             w_ctrl=0.0)
     jrd_vals = np.array([0.2, 0.05, 0.2])
-    cost = mppi.deployment_cost(np.full(3, spec.v_target), np.zeros(3),
-                                jrd_vals, np.zeros((3, 2)), np.zeros(2), spec)
+    cost = cost_of(spec, np.zeros((3, 2)), jrd_vals,
+                   vx=np.full(3, spec.v_target), e_lat=np.zeros(3))
     assert cost == pytest.approx(1.0 * jrd_vals.sum() + 2 * 100.0)
 
 
@@ -171,26 +215,25 @@ def test_deploy_safe_rollout_counts_violations():
     # two-member stub disagreeing by 2 with unit variances: known jrd
     model = StubModel(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                       variances=np.ones((2, 3)))
-    track = build_track(TrackSpec())
-    pos, head, _ = track.point_at(0.0)
+    pos, head, _ = TRACK.point_at(0.0)
     window = zero_window(state=np.array([8.0, 0.0, 0.0]))
     spec = mppi.CostSpec(mode="deploy_safe", w_track=0.0, w_speed=0.0,
                          w_ctrl=0.0, w_unc=0.0001, jrd_threshold=0.1,
-                         penalty_big=1000.0, v_target=8.0, track=track)
+                         penalty_big=1000.0, v_target=8.0, track=TRACK)
     t_hor = 4
-    res = mppi.rollout(model, window, np.zeros((t_hor, 2)), spec, member=0,
-                       pose=np.array([pos[0], pos[1], head]))
-    per_step = res.jrd_values[0]
+    cost, jrd_vals, _, _ = rollout_one(model, window, np.zeros((t_hor, 2)),
+                                       spec,
+                                       pose=np.array([pos[0], pos[1], head]))
+    per_step = jrd_vals[0]
     assert per_step > 0.1
     expect = t_hor * (0.0001 * per_step + 1000.0)
-    assert res.cost == pytest.approx(expect, rel=1e-6)
+    assert cost == pytest.approx(expect, rel=1e-6)
 
 
 def make_deploy_spec(mode, **kw):
-    track = build_track(TrackSpec())
     defaults = dict(w_track=2.0, w_speed=0.5, w_ctrl=0.1, v_target=8.0)
     defaults.update(kw)
-    return mppi.CostSpec(mode=mode, track=track, **defaults)
+    return mppi.CostSpec(mode=mode, track=TRACK, **defaults)
 
 
 def test_weights_uniform_for_equal_costs():
@@ -346,21 +389,113 @@ def test_mpc_step_all_invalid_emits_zero():
     assert state2.step_index == 1
 
 
-def test_batched_rollout_matches_single():
-    rng = np.random.default_rng(12)
-    model = StubModel(rng.normal(scale=0.05, size=(3, 3)),
-                      variances=rng.uniform(0.01, 0.2, (3, 3)))
-    window = HistoryWindow(rng.normal(size=(4, 3)), rng.uniform(-1, 1, (4, 2)))
-    seqs = rng.uniform(-1, 1, size=(6, 5, 2))
-    spec = mppi.CostSpec(mode="explore", w_ctrl=0.3)
-    members = np.arange(6) % model.b
+def _toy_step_cost(states, actions, prev_actions, jrd_vals):
+    # touches every argument, so a misaligned step shows in the cost
+    return (np.sum((actions - 0.3) ** 2, axis=1)
+            + 0.5 * states[:, 0] * prev_actions[:, 1] + jrd_vals)
+
+
+def _reference_cost(spec, seqs, prev_u0, traj, jrd, e_lat):
+    """Per-rollout, per-step transcription of the rollout_cost docstring.
+
+    Returns each rollout's cost and the summed magnitude of its terms.
+    """
+    costs, scales = [], []
+    for i in range(seqs.shape[0]):
+        terms = []
+        prev = prev_u0
+        for t in range(seqs.shape[1]):
+            u, x, j = seqs[i, t], traj[i, t + 1], float(jrd[i, t])
+            if spec.mode == "explore":
+                terms += [-j, spec.w_ctrl * (u[0] ** 2 + u[1] ** 2)]
+            elif spec.mode == "custom":
+                terms.append(float(_toy_step_cost(
+                    x[None], u[None], prev[None], np.array([j]))[0]))
+            else:
+                du = u - prev
+                terms += [spec.w_track * e_lat[i, t] ** 2,
+                          spec.w_speed * (x[0] - spec.v_target) ** 2,
+                          spec.w_ctrl * (du[0] ** 2 + du[1] ** 2)]
+                if spec.mode == "deploy_safe":
+                    terms += [spec.w_unc * j,
+                              spec.penalty_big if j > spec.jrd_threshold else 0.0]
+            prev = u
+        costs.append(sum(terms))
+        scales.append(sum(abs(v) for v in terms))
+    return costs, scales
+
+
+MODES = ("explore", "deploy_direct", "deploy_safe", "custom")
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# shared values make ties and near-ties with the jrd threshold common
+_JRD = st.one_of(st.sampled_from([-0.5, 0.0, 0.001, 0.1, 0.5]), _finite(-2, 2))
+
+
+@st.composite
+def cost_specs(draw):
+    w = _finite(0.0, 10.0)
+    return mppi.CostSpec(
+        mode=draw(st.sampled_from(MODES)), w_track=draw(w), w_speed=draw(w),
+        w_ctrl=draw(w), w_unc=draw(_finite(0.01, 10.0)),
+        jrd_threshold=draw(_JRD),
+        penalty_big=draw(_finite(0.0, 1000.0)),
+        v_target=draw(_finite(0.0, 15.0)), track=TRACK,
+        custom_step_cost=_toy_step_cost)
+
+
+@st.composite
+def rollout_records(draw):
+    k, t_hor = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return (draw(arrays(np.float64, (k, t_hor, 2), elements=_finite(-1, 1))),
+            draw(arrays(np.float64, (2,), elements=_finite(-1, 1))),
+            draw(arrays(np.float64, (k, t_hor + 1, 3),
+                        elements=_finite(-20, 20))),
+            draw(arrays(np.float64, (k, t_hor), elements=_JRD)),
+            draw(arrays(np.float64, (k, t_hor), elements=_finite(-20, 20))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=cost_specs(), record=rollout_records())
+def test_rollout_cost_matches_reference(spec, record):
+    seqs, prev_u0, traj, jrd_vals, e_lat = record
+    got = mppi.rollout_cost(spec, seqs, prev_u0, traj, jrd_vals, e_lat)
+    assert got.shape == (seqs.shape[0],)
+    want, scales = _reference_cost(spec, seqs, prev_u0, traj, jrd_vals, e_lat)
+    for g, w, scale in zip(got, want, scales):
+        assert abs(g - w) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+       mode=st.sampled_from(MODES), mean_member=st.booleans())
+def test_batched_rollout_matches_single(seed, k, mode, mean_member):
+    # a K-row batch gives each row what a one-row call gives it
+    rng = np.random.default_rng(seed)
+    model = build_model(h=2, b=3, hidden=[8], seed=seed)
+    window = HistoryWindow(
+        np.array([6.0, 0.0, 0.0]) + rng.normal(scale=0.5, size=(2, 3)),
+        rng.uniform(-1, 1, (2, 2)))
+    seqs = rng.uniform(-1, 1, size=(k, 5, 2))
+    members = None if mean_member else rng.integers(0, model.b, size=k)
+    spec = mppi.CostSpec(mode=mode, jrd_threshold=0.05, track=TRACK,
+                         custom_step_cost=_toy_step_cost)
+    pos, head, _ = TRACK.point_at(rng.uniform(0.0, TRACK.total_length))
+    pose = np.array([pos[0], pos[1], head])
     costs, jrd_vals, traj, invalid = mppi._rollout_batch(
-        model, window, seqs, spec, members)
-    for k in range(6):
-        res = mppi.rollout(model, window, seqs[k], spec, member=int(members[k]))
-        assert res.cost == pytest.approx(costs[k], rel=1e-12)
-        assert np.allclose(res.jrd_values, jrd_vals[k], atol=1e-12)
-        assert np.allclose(res.states, traj[k], atol=1e-12)
+        model, window, seqs, spec, members, pose)
+    for i in range(k):
+        one = None if members is None else members[i:i + 1]
+        c1, j1, t1, inv1 = mppi._rollout_batch(
+            model, window, seqs[i:i + 1], spec, one, pose)
+        assert inv1[0] == invalid[i]
+        assert c1[0] == pytest.approx(costs[i], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(j1[0], jrd_vals[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(t1[0], traj[i], rtol=1e-12, atol=1e-12)
 
 
 def test_rollout_replaces_newest_action():
@@ -376,6 +511,6 @@ def test_rollout_replaces_newest_action():
     model = ActionEcho(np.zeros((1, 3)))
     window = HistoryWindow(np.zeros((2, 3)), np.full((2, 2), 0.7))
     seq = np.zeros((1, 2))
-    res = mppi.rollout(model, window, seq, mppi.CostSpec(mode="explore"),
-                       member=0)
-    assert res.states[-1][0] == pytest.approx(0.0)  # saw 0.0, not 0.7
+    _, _, states, _ = rollout_one(model, window, seq,
+                                  mppi.CostSpec(mode="explore"))
+    assert states[-1][0] == pytest.approx(0.0)  # saw 0.0, not 0.7
