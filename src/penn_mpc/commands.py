@@ -94,14 +94,14 @@ def parse_mix(mix: str) -> list[str]:
 def cmd_collect(cfg: ExperimentConfig, out_dir) -> Path:
     """Run the scripted-maneuver mix in both directions until the requested
     minutes of rows are logged; returns the dataset manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if abs(cfg.collect.rate * cfg.plant.dt - 1.0) > 1e-9:
         raise ConfigError(
             f"collect.rate {cfg.collect.rate} does not match plant.dt {cfg.plant.dt}")
+    schedule = parse_mix(cfg.collect.mix)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     track = build_track(cfg.track_spec())
     params = cfg.plant_params()
-    schedule = parse_mix(cfg.collect.mix)
     target_rows = int(round(cfg.collect.minutes * 60.0 * cfg.collect.rate))
     ep_rows = max(2, int(round(cfg.collect.episode_seconds * cfg.collect.rate)))
     episodes = []
@@ -157,11 +157,11 @@ def _write_metrics_csv(history, path: Path) -> None:
 def cmd_train(cfg: ExperimentConfig, out_dir, data_dir=None) -> dict:
     """Window, split 70/30, train the ensemble, save the best checkpoint plus
     per-epoch metrics and the four-row RMSE report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data_dir = data_dir or cfg.io.data
     if not data_dir:
         raise ConfigError("cmd_train needs a dataset (io.data or --data)")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     episodes, manifest = load_dataset(data_dir)
     samples = window_episodes(episodes, cfg.model.h)
     best, history, ds = _train_from_samples(cfg, samples, cfg.seed,
@@ -178,12 +178,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir, data_dir=None) -> dict:
 def cmd_eval(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
              data_dir=None, split_part: str = "test") -> EvalReport:
     """Four-row RMSE report of a checkpoint on a dataset split."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     checkpoint_path = checkpoint_path or cfg.io.checkpoint
     data_dir = data_dir or cfg.io.data
     if not checkpoint_path or not data_dir:
         raise ConfigError("cmd_eval needs a checkpoint and a dataset")
+    if split_part not in ("train", "test", "all"):
+        raise ConfigError(f"split must be train, test, or all, got {split_part!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(checkpoint_path)
     episodes, manifest = load_dataset(data_dir)
     declared_h = manifest.get("h")
@@ -192,8 +194,6 @@ def cmd_eval(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
             f"checkpoint was trained with H={model.h} but the dataset declares "
             f"H={declared_h}")
     samples = window_episodes(episodes, model.h)
-    if split_part not in ("train", "test", "all"):
-        raise ConfigError(f"split must be train, test, or all, got {split_part!r}")
     if split_part != "all":
         ds = split(samples, cfg.train.split_ratio, seed=cfg.seed)
         samples = ds.train if split_part == "train" else ds.test
@@ -214,13 +214,13 @@ def cmd_ablate_history(cfg: ExperimentConfig, out_dir, data_dir=None,
                        h_min: int = 1, h_max: int = 10) -> AblationReport:
     """Identical train/eval protocol per history length; emits one RMSE row
     per H (CSV) and a transposed text table with per-dimension rows."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data_dir = data_dir or cfg.io.data
     if not data_dir:
         raise ConfigError("cmd_ablate_history needs a dataset")
     if h_min < 1 or h_max < h_min:
         raise ConfigError(f"bad history range [{h_min}, {h_max}]")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     episodes, manifest = load_dataset(data_dir)
     h_values = list(range(h_min, h_max + 1))
     reports = []
@@ -407,17 +407,21 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
     mode="direct" ignores disagreement; mode="safe" penalizes it and applies
     the big penalty above the threshold (configured value, or the 95th
     percentile of the training set's disagreement when set to "auto")."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if mode not in ("direct", "safe"):
         raise ConfigError(f"deploy mode must be direct or safe, got {mode!r}")
     checkpoint_path = checkpoint_path or cfg.io.checkpoint
     if not checkpoint_path:
         raise ConfigError("cmd_deploy needs a checkpoint")
+    data_dir = data_dir or cfg.io.data
+    if mode == "safe" and cfg.costs.jrd_threshold == "auto" and not data_dir:
+        raise ConfigError("costs.jrd_threshold=auto needs the training dataset "
+                          "(io.data or --data)")
     model = load_checkpoint(checkpoint_path)
     if mode == "safe" and (model.mode != "probabilistic" or model.b < 2):
         raise ConfigError("safe deployment needs a probabilistic ensemble "
                           "checkpoint with B >= 2")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     laps = laps if laps is not None else cfg.deploy.laps
     track = build_track(cfg.track_spec())
     params = cfg.plant_params()
@@ -426,11 +430,6 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
     if mode == "safe":
         raw = cfg.costs.jrd_threshold
         if raw == "auto":
-            data_dir = data_dir or cfg.io.data
-            if not data_dir:
-                raise ConfigError(
-                    "costs.jrd_threshold=auto needs the training dataset "
-                    "(io.data or --data)")
             threshold = train_set_jrd_percentile(model, data_dir)
         else:
             threshold = float(raw)
@@ -537,11 +536,11 @@ def cmd_explore(cfg: ExperimentConfig, out_dir, policy: str | None = None) -> di
     buffer, retrains from scratch, and logs held-out RMSE against cumulative
     interaction steps. Rounds are checkpointed, so an interrupted run resumes
     to identical final outputs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     policy = policy or cfg.explore.policy
     if policy not in ("explore", "random"):
         raise ConfigError(f"explore policy must be explore or random, got {policy!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     track = build_track(cfg.track_spec())
     params = cfg.plant_params()
     dt = params.dt

@@ -175,11 +175,10 @@ def bound_variance(raw: np.ndarray, var_min: float = 1e-6,
     so the likelihood gradient can be chained through the bounding.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    sig = np.empty_like(raw)
     pos = raw >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-raw[pos]))
-    e = np.exp(raw[~pos])
-    sig[~pos] = e / (1.0 + e)
+    # the exponent is never positive, so exp cannot overflow
+    e = np.exp(np.where(pos, -raw, raw))
+    sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     span = var_max - var_min
     return var_min + span * sig, span * sig * (1.0 - sig)
 

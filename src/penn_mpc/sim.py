@@ -313,18 +313,34 @@ def build_track(spec: TrackSpec, spacing: float = 0.5) -> Track:
     return build_track_from_segments(spec.segments(), spec.half_width, spacing)
 
 
+# Rows per block of the nearest-waypoint search: small enough that the
+# (rows, M) temporaries stay in cache inside a rollout, large enough that the
+# per-block overhead is amortized.
+_NEAREST_CHUNK = 32
+
+
 def track_frame_batch(xy: np.ndarray, yaw: np.ndarray, track: Track):
     """Project poses onto the centerline.
+
+    Each pose is projected onto the segments either side of its nearest
+    waypoint. That waypoint is found by an exact search over all waypoints
+    (the lowest index wins a tie), done in blocks of ``_NEAREST_CHUNK`` rows
+    so the temporaries are bounded by the block, not by the batch.
 
     Returns (s, e_lat, e_psi, dist) arrays; e_lat is positive left of the
     travel direction. Callers decide what distance counts as off-track.
     """
     xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
     yaw = np.atleast_1d(np.asarray(yaw, dtype=np.float64))
-    pts = track.xy[:-1]
-    m = pts.shape[0]
-    d2 = np.sum((xy[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    nearest = np.argmin(d2, axis=1)
+    px = track.xy[:-1, 0]
+    py = track.xy[:-1, 1]
+    m = px.shape[0]
+    nearest = np.empty(xy.shape[0], dtype=np.intp)
+    for c in range(0, xy.shape[0], _NEAREST_CHUNK):
+        rows = slice(c, c + _NEAREST_CHUNK)
+        dx = xy[rows, 0, None] - px
+        dy = xy[rows, 1, None] - py
+        np.argmin(dx * dx + dy * dy, axis=1, out=nearest[rows])
 
     def project(i):
         a = track.xy[i]

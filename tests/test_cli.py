@@ -108,9 +108,9 @@ def test_collect_deterministic(tmp_path):
     _assert_trees_identical(tmp_path / "a", tmp_path / "b")
 
 
-def test_collect_rejects_mismatched_rate():
+def test_collect_rejects_mismatched_rate(tmp_path):
     with pytest.raises(ConfigError):
-        commands.cmd_collect(tiny_cfg("collect.rate=20"), "/tmp/unused")
+        commands.cmd_collect(tiny_cfg("collect.rate=20"), tmp_path / "out")
 
 
 # --- train / eval
@@ -252,6 +252,7 @@ def test_deploy_safe_requires_ensemble(tmp_path, collected):
         commands.cmd_deploy(cfg, tmp_path / "deploy",
                             checkpoint_path=result["checkpoint"], mode="safe",
                             data_dir=collected)
+    assert not (tmp_path / "deploy").exists()
 
 
 def test_deploy_deterministic(tmp_path, trained, collected):
@@ -310,6 +311,46 @@ def test_cli_os_error_exits_3(tmp_path, capsys):
     assert code == 3
     assert blocker.read_text() == "keep\n"
     assert "error:" in capsys.readouterr().err
+
+
+# Each call fails a check that needs no file: the named checkpoint and
+# dataset paths do not exist and must not be opened.
+_CONFIG_ERRORS = {
+    "collect_rate": lambda out: commands.cmd_collect(
+        tiny_cfg("collect.rate=20"), out),
+    "collect_mix": lambda out: commands.cmd_collect(
+        tiny_cfg("collect.mix=drift"), out),
+    "train_no_data": lambda out: commands.cmd_train(tiny_cfg(), out),
+    "eval_no_checkpoint": lambda out: commands.cmd_eval(
+        tiny_cfg(), out, data_dir="no-data"),
+    "eval_split": lambda out: commands.cmd_eval(
+        tiny_cfg(), out, checkpoint_path="no-ckpt.json", data_dir="no-data",
+        split_part="validation"),
+    "ablate_no_data": lambda out: commands.cmd_ablate_history(tiny_cfg(), out),
+    "ablate_h_range": lambda out: commands.cmd_ablate_history(
+        tiny_cfg(), out, data_dir="no-data", h_min=3, h_max=2),
+    "explore_policy": lambda out: commands.cmd_explore(
+        tiny_cfg(), out, policy="greedy"),
+    "deploy_mode": lambda out: commands.cmd_deploy(
+        tiny_cfg(), out, checkpoint_path="no-ckpt.json", mode="fast"),
+    "deploy_no_checkpoint": lambda out: commands.cmd_deploy(tiny_cfg(), out),
+    "deploy_auto_threshold_no_data": lambda out: commands.cmd_deploy(
+        tiny_cfg(), out, checkpoint_path="no-ckpt.json", mode="safe"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_config_error_leaves_no_output_dir(tmp_path, case):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        _CONFIG_ERRORS[case](out)
+    assert not out.exists()
+
+
+def test_cli_config_error_leaves_no_output_dir(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["collect", "--rate", "20", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_effective_config_round_trips(tmp_path):

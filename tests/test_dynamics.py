@@ -214,6 +214,30 @@ def test_bound_variance_range_and_derivative():
     assert np.allclose(fd, dvar, atol=1e-5)
 
 
+def _masked_bound_variance(raw, var_min, var_max):
+    """Sigmoid bounding with each sign branch scattered through a mask."""
+    sig = np.empty_like(raw)
+    pos = raw >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-raw[pos]))
+    e = np.exp(raw[~pos])
+    sig[~pos] = e / (1.0 + e)
+    span = var_max - var_min
+    return var_min + span * sig, span * sig * (1.0 - sig)
+
+
+def test_bound_variance_matches_masked_formula():
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 1e3, -1e3,
+                     np.inf, -np.inf, np.nan])
+    sample = np.random.default_rng(11).normal(scale=30.0, size=(64, 3))
+    for raw in (edge, sample):
+        with np.errstate(over="raise"):
+            got = dyn.bound_variance(raw, 1e-6, 10.0)
+        want = _masked_bound_variance(raw, 1e-6, 10.0)
+        for g, w in zip(got, want):
+            assert g.shape == raw.shape
+            assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_full_network_nll_gradient_fd():
     """FD through the whole pipeline: features -> heads -> bounded variance
     -> NLL, checking both the mean and variance heads (rel err < 1e-4)."""

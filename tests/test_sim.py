@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import sim
 from penn_mpc.errors import DataError, GeometryError
@@ -194,6 +196,88 @@ def test_track_frame_continuous_across_seam(track):
     pos, head, _ = track.point_at(track.total_length - 0.01)
     f = frame(np.array([*pos, head]), track)
     assert f["s"] > track.total_length - 0.5 or f["s"] < 0.5
+
+
+def _reference_frame(xy, yaw, track):
+    """Brute-force projection: one (K, M, 2) distance broadcast per call."""
+    pts = track.xy[:-1]
+    m = pts.shape[0]
+    d2 = np.sum((xy[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    nearest = np.argmin(d2, axis=1)
+
+    def project(i):
+        a = track.xy[i]
+        b = track.xy[i + 1]
+        seg = b - a
+        seg_len2 = np.sum(seg**2, axis=1)
+        t = np.clip(np.sum((xy - a) * seg, axis=1) / seg_len2, 0.0, 1.0)
+        proj = a + t[:, None] * seg
+        dist = np.hypot(*(xy - proj).T)
+        return dist, t, proj, seg
+
+    i_prev = (nearest - 1) % m
+    d0, t0, p0, s0 = project(i_prev)
+    d1, t1, p1, s1 = project(nearest)
+    use0 = d0 < d1
+    dist = np.where(use0, d0, d1)
+    i = np.where(use0, i_prev, nearest).astype(int)
+    t = np.where(use0, t0, t1)
+    proj = np.where(use0[:, None], p0, p1)
+    seg = np.where(use0[:, None], s0, s1)
+    s = (i + t) * track.ds
+    s = np.where(s >= track.total_length, s - track.total_length, s)
+    tangent = seg / np.hypot(*seg.T)[:, None]
+    rel = xy - proj
+    e_lat = tangent[:, 0] * rel[:, 1] - tangent[:, 1] * rel[:, 0]
+    head = (1 - t) * track.heading[i] + t * track.heading[i + 1]
+    e_psi = sim.wrap_angle(yaw - head)
+    return s, e_lat, e_psi, dist
+
+
+_ROW_KINDS = ("near", "waypoint", "midpoint", "seam", "far", "nan")
+
+
+def _poses(rng, track, k, kinds):
+    """k poses, each of a kind drawn from kinds: within 6 half-widths of the
+    centerline, exactly on a waypoint, halfway between two (on straights
+    often equidistant from both), within a metre of the seam, 1e3 m away,
+    or NaN."""
+    idx = rng.integers(0, track.n_points, k)
+    xy = track.xy[idx].copy()
+    kind = rng.choice(kinds, size=k)
+    mid = kind == "midpoint"
+    xy[mid] = 0.5 * (xy[mid] + track.xy[idx[mid] + 1])
+    near = kind == "near"
+    xy[near] += rng.uniform(-6, 6, (near.sum(), 2)) * track.half_width
+    seam = kind == "seam"
+    xy[seam] = track.xy[rng.choice([0, 1, -2], seam.sum())] \
+        + rng.uniform(-1, 1, (seam.sum(), 2))
+    far = kind == "far"
+    ang = rng.uniform(0, 2 * np.pi, far.sum())
+    xy[far] += 1e3 * np.column_stack([np.cos(ang), np.sin(ang)])
+    xy[kind == "nan"] = np.nan
+    yaw = rng.uniform(-2 * np.pi, 2 * np.pi, k)
+    return xy, yaw
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       k=st.sampled_from([1, sim._NEAREST_CHUNK - 1, sim._NEAREST_CHUNK,
+                          sim._NEAREST_CHUNK + 1, 512]),
+       kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, unique=True),
+       reverse=st.booleans())
+def test_track_frame_batch_matches_brute_force(track, seed, k, kinds, reverse):
+    track = track.reversed() if reverse else track
+    xy, yaw = _poses(np.random.default_rng(seed), track, k, kinds)
+    got = sim.track_frame_batch(xy, yaw, track)
+    want = _reference_frame(xy, yaw, track)
+    for g, w in zip(got, want):
+        assert g.shape == (k,) and g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+    rows = [sim.track_frame_batch(xy[j:j + 1], yaw[j:j + 1], track)
+            for j in range(k)]
+    for g, one in zip(got, zip(*rows)):
+        assert np.array_equal(g, np.concatenate(one), equal_nan=True)
 
 
 def test_reversed_track_flips_curvature(track):
