@@ -24,6 +24,7 @@ from .dynamics import (EvalReport, HistoryWindow, PennModel, TrainConfig,
                        build_model, evaluate_rmse, load_checkpoint,
                        save_checkpoint, train)
 from .errors import ConfigError, DataError
+from .fileio import atomic_open
 from .jrd import jrd_batch
 from .mppi import CostSpec, MpcState, MppiConfig, mpc_step
 from .sim import (EpisodeLog, MANEUVER_KINDS, PlantState, build_track,
@@ -299,6 +300,23 @@ class ClosedLoopResult:
     failed: bool
 
 
+def _net_laps(net: int, prev_s: float, s: float, length: float) -> int:
+    """Net forward crossings of the start line after a step from arc length
+    ``prev_s`` to ``s`` on a loop of ``length``, taking the shorter way round.
+
+    The unwrapped progress s_0 + sum of wrapped steps equals
+    ``s + net * length`` exactly, so lap k is complete when ``net`` first
+    reaches k: a car that backs across the start must drive forward over it
+    again before the crossing counts.
+    """
+    jump = s - prev_s
+    if jump < -0.5 * length:
+        return net + 1
+    if jump >= 0.5 * length:
+        return net - 1
+    return net
+
+
 def _run_closed_loop(model: PennModel, params, track, mppi_cfg: MppiConfig | None,
                      spec: CostSpec | None, n_steps: int, policy: str,
                      seed: int, v_start: float, tag: str,
@@ -324,7 +342,7 @@ def _run_closed_loop(model: PennModel, params, track, mppi_cfg: MppiConfig | Non
     s_trace = np.empty(n_steps)
     e_trace = np.empty(n_steps)
     diag_rows: list[dict] = []
-    laps = 0
+    laps = net = 0
     lap_steps: list[int] = []
     failed = False
     prev_s = None
@@ -336,12 +354,13 @@ def _run_closed_loop(model: PennModel, params, track, mppi_cfg: MppiConfig | Non
         if envelope is not None and abs(e_here) > envelope:
             failed = True
             break
-        if prev_s is not None and s_here < 0.25 * track.total_length \
-                and prev_s > 0.75 * track.total_length:
-            laps += 1
-            lap_steps.append(i)
-            if lap_target is not None and laps >= lap_target:
-                break
+        if prev_s is not None:
+            net = _net_laps(net, prev_s, s_here, track.total_length)
+            if net > laps:
+                laps = net
+                lap_steps.append(i)
+                if lap_target is not None and laps >= lap_target:
+                    break
         prev_s = s_here
 
         if policy == "mpc":
@@ -511,7 +530,8 @@ _CURVE_COLUMNS = ("round", "cumulative_steps", "rmse_total", "rmse_vx",
 
 
 def _write_curve(rows: list[dict], path: Path) -> None:
-    with open(path, "w", newline="") as f:
+    # explore resumes from this file, so it is replaced only as a whole
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_CURVE_COLUMNS)
         for row in rows:

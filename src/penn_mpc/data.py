@@ -12,6 +12,7 @@ import numpy as np
 
 from .dynamics import HistoryWindow
 from .errors import DataError
+from .fileio import atomic_open
 from .sim import EpisodeLog
 
 log = logging.getLogger(__name__)
@@ -75,7 +76,11 @@ def split(samples, ratio: float = 0.7, seed: int = 0) -> SplitDataset:
 
 def save_dataset(episodes, directory, h: int | None = None,
                  extra: dict | None = None) -> Path:
-    """Write episode CSVs plus a manifest carrying dt, optional H, and tags."""
+    """Write episode CSVs plus a manifest carrying dt, optional H, and tags.
+
+    Every file is replaced atomically and the manifest last, so an
+    interrupted save (``explore`` re-saves its growing buffer each round)
+    leaves the previous dataset loadable."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -93,7 +98,7 @@ def save_dataset(episodes, directory, h: int | None = None,
     if extra:
         manifest.update(extra)
     path = directory / MANIFEST_NAME
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
         f.write("\n")
     return path

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import nn
 from .errors import (CheckpointError, ModelError, ShapeError, TrainingError)
+from .fileio import atomic_open
 from .jrd import LOG_2PI
 
 log = logging.getLogger(__name__)
@@ -151,20 +152,29 @@ class PennModel:
         feats = (flat - self.stats.input_mean) / self.stats.input_std
         means = np.empty((self.b, n, STATE_DIM))
         varis = np.empty_like(means)
+        std, mean = self.stats.target_std, self.stats.target_mean
+        var_scale = std**2
         for i, params in enumerate(self.members):
             out, _ = nn.mlp_forward(params, feats)
             mu_n, var_n = self._split_head(out)
-            means[i] = mu_n * self.stats.target_std + self.stats.target_mean
-            varis[i] = var_n * self.stats.target_std**2
+            np.multiply(mu_n, std, out=means[i])
+            means[i] += mean
+            np.multiply(var_n, var_scale, out=varis[i])
         return means, varis
 
     def _split_head(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.mode == "deterministic":
             return out, np.full_like(out, self.var_min)
-        mu = out[..., :STATE_DIM]
-        raw = out[..., STATE_DIM:]
-        var, _ = bound_variance(raw, self.var_min, self.var_max)
-        return mu, var
+        sig = _sigmoid(out[..., STATE_DIM:])
+        return out[..., :STATE_DIM], self.var_min + (self.var_max - self.var_min) * sig
+
+
+def _sigmoid(raw: np.ndarray) -> np.ndarray:
+    """Logistic function in the form that cannot overflow on either side."""
+    pos = raw >= 0
+    # the exponent is never positive, so exp cannot overflow
+    e = np.exp(np.where(pos, -raw, raw))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def bound_variance(raw: np.ndarray, var_min: float = 1e-6,
@@ -174,11 +184,7 @@ def bound_variance(raw: np.ndarray, var_min: float = 1e-6,
     Returns the bounded variance and its derivative w.r.t. the raw value,
     so the likelihood gradient can be chained through the bounding.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    pos = raw >= 0
-    # the exponent is never positive, so exp cannot overflow
-    e = np.exp(np.where(pos, -raw, raw))
-    sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    sig = _sigmoid(np.asarray(raw, dtype=np.float64))
     span = var_max - var_min
     return var_min + span * sig, span * sig * (1.0 - sig)
 
@@ -373,7 +379,8 @@ def _from_hex(vals, shape) -> np.ndarray:
 
 def save_checkpoint(model: PennModel, path) -> None:
     """Self-describing JSON checkpoint; floats stored as hex for bit-exact
-    round trips."""
+    round trips. The file is replaced atomically, so an interrupted write
+    leaves the previous checkpoint intact."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "mode": model.mode,
@@ -401,7 +408,7 @@ def save_checkpoint(model: PennModel, path) -> None:
             for m in model.members
         ],
     }
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
 

@@ -131,12 +131,27 @@ def jrd_oracle_1d(m: MixtureSummary, span: float = 12.0, step: float = 1e-3) -> 
     return h2_of(mix) - sum(h2_of(p) for p in pdf_each) / m.size
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis by explicit adds, left to right.
+
+    For lengths up to 7 this is bit-identical to ``np.sum(x, axis=-1)``
+    (numpy's pairwise summation starts at 8) and about ten times faster on a
+    short axis. ``order="K"`` keeps the memory layout numpy's own reduction
+    would give, on which the add order of later reductions depends.
+    """
+    out = x[..., 0].copy(order="K")
+    for k in range(1, x.shape[-1]):
+        out += x[..., k]
+    return out
+
+
 def jrd_batch(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Vectorized divergence for N mixtures at once.
 
     ``means`` and ``variances`` have shape (N, B, d) with strictly positive
     variances. Computed in log space for robustness to far-separated
-    components. Returns shape (N,).
+    components. Sums over the d axis add its terms left to right
+    (x_0 + x_1 + ... + x_{d-1}). Returns shape (N,).
     """
     means = np.asarray(means, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
@@ -147,12 +162,14 @@ def jrd_batch(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
         return np.zeros(n)
     # log z_ij over all ordered pairs: (N, B, B)
     s = variances[:, :, None, :] + variances[:, None, :, :]
-    diff = means[:, :, None, :] - means[:, None, :, :]
+    quad = means[:, :, None, :] - means[:, None, :, :]
+    quad *= quad
+    quad /= s
     log_z = (-0.5 * d * LOG_2PI
-             - 0.5 * np.sum(np.log(s), axis=-1)
-             - 0.5 * np.sum(diff * diff / s, axis=-1))
+             - 0.5 * _sum_last(np.log(s, out=s))
+             - 0.5 * _sum_last(quad))
     flat = log_z.reshape(n, b * b)
     peak = np.max(flat, axis=1)
     h_mix = -(peak + np.log(np.sum(np.exp(flat - peak[:, None]), axis=1))) + 2.0 * np.log(b)
-    h_comp = 0.5 * d * np.log(4.0 * np.pi) + 0.5 * np.sum(np.log(variances), axis=-1)
+    h_comp = 0.5 * d * np.log(4.0 * np.pi) + 0.5 * _sum_last(np.log(variances))
     return h_mix - np.mean(h_comp, axis=1)

@@ -60,15 +60,17 @@ class MlpParams:
 
 @dataclass
 class ForwardCache:
-    """Per-layer intermediates from one forward pass, enough for exact backprop.
+    """Per-layer activations from one forward pass, enough for exact backprop.
 
-    ``inputs[k]`` is the input to layer k, ``pre_acts[k]`` its affine output
-    before the activation. ``squeeze`` records whether the original input was
-    a single vector rather than a batch.
+    ``inputs[k]`` is the input to layer k, so ``inputs[k + 1]`` is hidden
+    layer k's activation, from which ``mlp_backward`` takes the activation's
+    derivative. ``output`` is the final (linear) layer's batch output.
+    ``squeeze`` records whether the original input was a single vector rather
+    than a batch. Every array is one the pass computes anyway.
     """
 
     inputs: list[np.ndarray]
-    pre_acts: list[np.ndarray]
+    output: np.ndarray
     squeeze: bool
 
 
@@ -116,22 +118,6 @@ def init_params(layer_sizes: list[int], activation: str = "tanh",
     return MlpParams(layers=layers, activation=activation, seed=seed)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - a * a
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return np.ones_like(z)
-
-
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a vector or a (batch, in_dim) matrix.
 
@@ -145,16 +131,20 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     if x.ndim != 2 or x.shape[1] != params.layers[0].in_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} != first layer in_dim {params.layers[0].in_dim}")
-    inputs, pre_acts = [], []
+    inputs = []
     h = x
     last = len(params.layers) - 1
     for k, layer in enumerate(params.layers):
         inputs.append(h)
-        z = h @ layer.weights.T + layer.biases
-        pre_acts.append(z)
-        h = z if k == last else _activate(z, params.activation)
+        h = h @ layer.weights.T
+        h += layer.biases
+        if k != last:
+            if params.activation == "tanh":
+                np.tanh(h, out=h)
+            elif params.activation == "relu":
+                np.maximum(h, 0.0, out=h)
     out = h[0] if squeeze else h
-    return out, ForwardCache(inputs=inputs, pre_acts=pre_acts, squeeze=squeeze)
+    return out, ForwardCache(inputs=inputs, output=h, squeeze=squeeze)
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
@@ -162,8 +152,10 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
     """Exact reverse-mode gradients for the scalar whose output gradient is given.
 
     ``output_grad`` has the shape of the forward output; for batches the
-    parameter gradients are summed over the batch. Returns per-layer grads
-    (in LayerParams containers) and the gradient w.r.t. the input.
+    parameter gradients are summed over the batch. The activation's derivative
+    comes from the activations the cache holds: ``1 - a*a`` for tanh,
+    ``a > 0`` for relu and one for identity. Returns per-layer grads (in
+    LayerParams containers) and the gradient w.r.t. the input.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if cache.squeeze:
@@ -171,17 +163,21 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers:
         raise ShapeError("cache does not match network depth")
-    if g.shape != cache.pre_acts[-1].shape:
+    if g.shape != cache.output.shape:
         raise ShapeError(
-            f"output_grad shape {g.shape} != output shape {cache.pre_acts[-1].shape}")
+            f"output_grad shape {g.shape} != output shape {cache.output.shape}")
     grads: list[LayerParams] = [None] * n_layers  # type: ignore[list-item]
     for k in range(n_layers - 1, -1, -1):
         layer = params.layers[k]
         if cache.inputs[k].shape[1] != layer.in_dim:
             raise ShapeError("cache does not match layer shapes")
         if k != n_layers - 1:
-            a = _activate(cache.pre_acts[k], params.activation)
-            g = g * _activate_grad(cache.pre_acts[k], a, params.activation)
+            # g is the fresh product from the layer above, never the caller's
+            a = cache.inputs[k + 1]
+            if params.activation == "tanh":
+                g *= 1.0 - a * a
+            elif params.activation == "relu":
+                g *= a > 0.0
         grads[k] = LayerParams(g.T @ cache.inputs[k], g.sum(axis=0))
         g = g @ layer.weights
     input_grad = g[0] if cache.squeeze else g

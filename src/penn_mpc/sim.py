@@ -18,6 +18,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_STATE_BOUNDS
 from .errors import DataError, GeometryError
+from .fileio import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -393,7 +394,7 @@ class EpisodeLog:
         return self.t.shape[0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(EPISODE_COLUMNS)
             for i in range(self.n_rows):

@@ -19,6 +19,8 @@ CLI command implementations; expect roughly 35-45 minutes total.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import tempfile
@@ -31,11 +33,40 @@ from penn_mpc import commands, config, data, dynamics, jrd, mppi, nn, sim
 
 SEEDS = (0, 1, 2, 3, 4)
 
-# Expensive directional runs (criteria 4, 6, 7) cache their artifacts here so
-# a rerun of the suite does not repeat finished seeds; point the variable at
-# a fresh directory (or delete it) to force clean runs.
+# Expensive directional runs (criteria 4, 6, 7) cache their artifacts under
+# this base so a rerun of the suite does not repeat finished seeds. Each
+# criterion's tree is keyed on the package source and its overrides (see
+# _cache_dir), so a code or config change starts a fresh tree; point the
+# variable at a fresh directory (or delete it) to force clean runs anyway.
 CACHE = Path(os.environ.get("PENN_MPC_ACCEPT_CACHE",
                             tempfile.gettempdir())) / "penn_mpc_acceptance"
+SRC_DIR = Path(commands.__file__).parent
+
+
+def _cache_dir(criterion: str, overrides: list[str]) -> Path:
+    """``CACHE/<criterion>/<sha256>`` of the sorted ``penn_mpc/*.py`` files
+    (name and bytes) and the criterion's override list."""
+    digest = hashlib.sha256()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    digest.update(json.dumps(overrides).encode())
+    return CACHE / criterion / digest.hexdigest()
+
+
+def test_cache_dir_keyed_on_source_and_overrides(tmp_path, monkeypatch):
+    """A changed source byte or override list names a different cache tree."""
+    src = tmp_path / "src"
+    src.mkdir()
+    for path in SRC_DIR.glob("*.py"):
+        (src / path.name).write_bytes(path.read_bytes())
+    monkeypatch.setitem(globals(), "SRC_DIR", src)
+    base = _cache_dir("c4", ["a=1"])
+    assert base == _cache_dir("c4", ["a=1"])
+    assert base.parent == CACHE / "c4"
+    assert _cache_dir("c4", ["a=2"]) != base
+    assert _cache_dir("c6", ["a=1"]).name == base.name
+    (src / "nn.py").write_bytes((src / "nn.py").read_bytes() + b"\n")
+    assert _cache_dir("c4", ["a=1"]) != base
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:
@@ -185,7 +216,7 @@ ABLATION_OVERRIDES = [
 def test_c4_history_ablation():
     """30 simulated minutes of mixed maneuvers per seed; the 5-seed median
     pooled RMSE must bottom out at H in {3,4,5}, at least 10% below H=1."""
-    root = CACHE / "c4"
+    root = _cache_dir("c4", ABLATION_OVERRIDES)
     totals = {h: [] for h in range(1, 11)}
     for seed in SEEDS:
         cfg = config.load_config(None, ABLATION_OVERRIDES + [f"seed={seed}"])
@@ -282,7 +313,7 @@ def test_c6_active_exploration_efficacy():
     must give strictly lower held-out pooled RMSE than the uniform-random
     baseline, and its executed trajectories must show higher disagreement
     under the pre-round model."""
-    root = CACHE / "c6"
+    root = _cache_dir("c6", EXPLORE_OVERRIDES)
     rmse = {"explore": [], "random": []}
     jrd_means = {"explore": [], "random": []}
     for seed in SEEDS:
@@ -324,7 +355,7 @@ def test_c7_uncertainty_aware_deployment():
     """Same checkpoint and seeds: safe mode's executed mean per-step
     disagreement is strictly lower than direct mode's (5-seed median) and it
     never goes off track more often."""
-    root = CACHE / "c7"
+    root = _cache_dir("c7", DEPLOY_OVERRIDES)
     cfg = config.load_config(None, DEPLOY_OVERRIDES + ["seed=0"])
     ckpt = root / "train" / "checkpoint.json"
     if not ckpt.exists():
@@ -333,7 +364,6 @@ def test_c7_uncertainty_aware_deployment():
                            data_dir=root / "collect" / "data")
     jrd_by_mode = {"direct": [], "safe": []}
     fails = {"direct": 0, "safe": 0}
-    import json
     for seed in SEEDS:
         for mode in ("direct", "safe"):
             out = root / f"{mode}_{seed}"

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import cli, commands, config
 from penn_mpc.errors import ConfigError, DataError
@@ -215,6 +218,28 @@ def test_explore_curve_and_resume(tmp_path, collected):
             (tmp_path / "resume" / name).read_bytes()
 
 
+def test_curve_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
+    row = {"round": 0, "cumulative_steps": 40, "rmse_total": 0.5,
+           "rmse_vx": 0.4, "rmse_vy": 0.3, "rmse_r": 0.2, "mean_pre_jrd": 0.1}
+    path = tmp_path / "learning_curve.csv"
+    commands._write_curve([row], path)
+    before = path.read_bytes()
+    real_fmt = commands._fmt
+    calls = []
+
+    def failing_fmt(v):
+        calls.append(v)
+        if len(calls) > 7:  # midway through the second row
+            raise OSError("disk full")
+        return real_fmt(v)
+
+    monkeypatch.setattr(commands, "_fmt", failing_fmt)
+    with pytest.raises(OSError):
+        commands._write_curve([row, {**row, "round": 1}], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_explore_random_policy(tmp_path):
     cfg = tiny_cfg("explore.n_rounds=1")
     out = commands.cmd_explore(cfg, tmp_path, policy="random")
@@ -368,3 +393,48 @@ def _assert_trees_identical(a: Path, b: Path):
     assert ca == cb
     for rel in ca:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+# --- lap counting
+
+
+def _laps(s_trace, length):
+    """Fold ``_net_laps`` over a trace as ``_run_closed_loop`` does: lap k
+    completes at the first step whose net crossing count reaches k."""
+    net = laps = 0
+    steps = []
+    for i in range(1, len(s_trace)):
+        net = commands._net_laps(net, s_trace[i - 1], s_trace[i], length)
+        if net > laps:
+            laps = net
+            steps.append(i)
+    return steps
+
+
+def test_laps_not_counted_for_backing_across_start():
+    length = 100.0
+    backing = [2.0, 1.0, 0.4, 99.6, 99.0]         # reverse over the start
+    forward = [99.5, 0.3, 1.0]                     # forward over it again
+    lap = list(np.arange(2.0, 100.0, 0.9)) + [0.2, 1.1]
+    s_trace = backing + forward + lap
+    assert _laps(s_trace, length) == [len(s_trace) - 2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(s0=st.floats(0.0, 99.99), steps=st.lists(st.floats(0.0, 24.0),
+                                                min_size=1, max_size=400))
+def test_forward_laps_match_wrap_rule(s0, steps):
+    """For forward-only traces (steps under a quarter lap) laps fall on the
+    same steps as the wrap rule: s goes from above 0.75 L to below 0.25 L."""
+    length = 100.0
+    s_trace = list(np.mod(s0 + np.cumsum([0.0] + steps), length))
+    wrap = [i for i in range(1, len(s_trace))
+            if s_trace[i] < 0.25 * length and s_trace[i - 1] > 0.75 * length]
+    assert _laps(s_trace, length) == wrap
+
+
+def test_one_forward_lap():
+    length = 50.0
+    s_trace = list(np.mod(np.arange(0.0, 60.0, 0.7), length))
+    want = int(np.ceil(length / 0.7))
+    assert _laps(s_trace, length) == [want]

@@ -172,6 +172,30 @@ def test_dataset_row_count_mismatch(tmp_path):
         data.load_dataset(tmp_path / "ds")
 
 
+def test_dataset_interrupted_save_keeps_old_dataset(tmp_path, monkeypatch):
+    first = make_episode(30, seed=1)
+    data.save_dataset([first], tmp_path, h=4)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_dump = data.json.dump
+
+    def torn_dump(doc, f, **kw):
+        real_dump({"format_version": 1}, f)
+        f.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(data.json, "dump", torn_dump)
+    with pytest.raises(KeyboardInterrupt):
+        data.save_dataset([first, make_episode(20, seed=2)], tmp_path, h=4)
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == ["episode_0000.csv", "episode_0001.csv",
+                             "manifest.json"]
+    assert after["manifest.json"] == before["manifest.json"]
+    assert after["episode_0000.csv"] == before["episode_0000.csv"]
+    episodes, _ = data.load_dataset(tmp_path)
+    assert len(episodes) == 1 and episodes[0].n_rows == 30
+
+
 def test_no_leakage_recomputation():
     # stats computed on the split's train part only
     samples = data.window_episodes([make_episode(200, seed=10)], h=2)

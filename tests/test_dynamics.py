@@ -3,6 +3,8 @@ evaluation pooling, and checkpoint persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import commands, config, mppi, nn
 from penn_mpc import dynamics as dyn
@@ -238,6 +240,49 @@ def test_bound_variance_matches_masked_formula():
             assert np.array_equal(g, w, equal_nan=True)
 
 
+def _reference_delta_batch(model, states, actions):
+    """``delta_batch`` de-normalizing out of place through ``bound_variance``
+    (which also computes the unused derivative), as it was first written."""
+    n = states.shape[0]
+    flat = np.concatenate([states, actions], axis=2).reshape(n, -1)
+    feats = (flat - model.stats.input_mean) / model.stats.input_std
+    means = np.empty((model.b, n, 3))
+    varis = np.empty_like(means)
+    for i, params in enumerate(model.members):
+        out, _ = nn.mlp_forward(params, feats)
+        if model.mode == "deterministic":
+            mu_n, var_n = out, np.full_like(out, model.var_min)
+        else:
+            mu_n = out[..., :3]
+            var_n, _ = dyn.bound_variance(out[..., 3:], model.var_min,
+                                          model.var_max)
+        means[i] = mu_n * model.stats.target_std + model.stats.target_mean
+        varis[i] = var_n * model.stats.target_std**2
+    return means, varis
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["probabilistic", "deterministic"]),
+       activation=st.sampled_from(nn.ACTIVATIONS),
+       n=st.sampled_from([1, 2, 512]), scale=st.sampled_from([1.0, 1e3]))
+def test_delta_batch_matches_reference(seed, mode, activation, n, scale):
+    """A 5-member ``delta_batch`` is bit-identical to the reference formula;
+    ``scale`` drives raw variance outputs into both saturated ends."""
+    rng = np.random.default_rng(seed)
+    stats = dyn.NormStats(rng.normal(size=20), rng.uniform(0.1, 3.0, 20),
+                          rng.normal(size=3), rng.uniform(1e-3, 2.0, 3))
+    model = dyn.build_model(h=4, b=5, hidden=[16, 16], mode=mode,
+                            activation=activation, seed=seed, stats=stats)
+    states = rng.normal(scale=scale, size=(n, 4, 3))
+    actions = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
+    got = model.delta_batch(states, actions)
+    want = _reference_delta_batch(model, states, actions)
+    for g, w in zip(got, want):
+        assert g.shape == (5, n, 3)
+        assert np.array_equal(g, w)
+
+
 def test_full_network_nll_gradient_fd():
     """FD through the whole pipeline: features -> heads -> bounded variance
     -> NLL, checking both the mean and variance heads (rel err < 1e-4)."""
@@ -439,6 +484,24 @@ def test_checkpoint_truncated_file(tmp_path):
     path.write_text(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
         dyn.load_checkpoint(path)
+
+
+def test_checkpoint_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt_round_00.json"
+    dyn.save_checkpoint(_stub_model(seed=1), path)
+    before = path.read_bytes()
+    real_dump = dyn.json.dump
+
+    def torn_dump(doc, f, **kw):
+        real_dump({"format_version": 1}, f)
+        f.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dyn.json, "dump", torn_dump)
+    with pytest.raises(KeyboardInterrupt):
+        dyn.save_checkpoint(_stub_model(seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_checkpoint_version_guard(tmp_path):

@@ -6,6 +6,8 @@ independent route to the same quantities.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import jrd
 from penn_mpc.errors import ShapeError
@@ -185,3 +187,63 @@ def test_batch_single_member_is_zero():
 def test_mixture_requires_shared_dim():
     with pytest.raises(ShapeError):
         jrd.MixtureSummary([STD_NORMAL, comp([0.0, 1.0], [1.0, 1.0])])
+
+
+def _reference_jrd_batch(means, variances):
+    """``jrd_batch`` with the d-axis sums by ``np.sum`` and the quadratic
+    term out of place, as it was first written."""
+    n, b, d = means.shape
+    s = variances[:, :, None, :] + variances[:, None, :, :]
+    diff = means[:, :, None, :] - means[:, None, :, :]
+    log_z = (-0.5 * d * jrd.LOG_2PI
+             - 0.5 * np.sum(np.log(s), axis=-1)
+             - 0.5 * np.sum(diff * diff / s, axis=-1))
+    flat = log_z.reshape(n, b * b)
+    peak = np.max(flat, axis=1)
+    h_mix = -(peak + np.log(np.sum(np.exp(flat - peak[:, None]), axis=1))) + 2.0 * np.log(b)
+    h_comp = 0.5 * d * np.log(4.0 * np.pi) + 0.5 * np.sum(np.log(variances), axis=-1)
+    return h_mix - np.mean(h_comp, axis=1)
+
+
+def _laid_out(a, layout):
+    """``a`` (N, B, d) as the same values in another memory layout."""
+    if layout == "member_major":  # (B, N, d) transposed, as the rollout passes it
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+    if layout == "strided":
+        n, b, d = a.shape
+        big = np.zeros((2 * n, b, d + 2))
+        big[::2, :, 1:d + 1] = a
+        return big[::2, :, 1:d + 1]
+    return np.ascontiguousarray(a)
+
+
+_LAYOUTS = ["member_major", "contiguous", "strided"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 512]),
+       b=st.integers(2, 6), d=st.integers(1, 7),
+       layouts=st.tuples(st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS)),
+       bad_rows=st.booleans())
+def test_batch_matches_reference_formula(seed, n, b, d, layouts, bad_rows):
+    """Bit-identical to the ``np.sum`` formula, NaN-equal, in every memory
+    layout of either argument, with NaN and inf rows."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=rng.uniform(0.01, 5.0), size=(n, b, d))
+    varis = np.exp(rng.uniform(-12.0, 3.0, size=(n, b, d)))
+    if bad_rows:
+        rows = rng.integers(0, n, size=4)
+        means[rows[0], 0, 0] = np.nan
+        means[rows[1], -1, -1] = np.inf
+        varis[rows[2], 0, -1] = np.inf
+        varis[rows[3], -1, 0] = np.nan
+    means = _laid_out(means, layouts[0])
+    varis = _laid_out(varis, layouts[1])
+    m_before, v_before = means.copy(), varis.copy()
+    with np.errstate(all="ignore"):
+        got = jrd.jrd_batch(means, varis)
+        want = _reference_jrd_batch(means, varis)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(means, m_before, equal_nan=True)
+    assert np.array_equal(varis, v_before, equal_nan=True)

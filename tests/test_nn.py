@@ -1,7 +1,11 @@
 """Dense-network engine: init, forward, exact backprop, Adam."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import nn
 from penn_mpc.errors import ConfigError, ShapeError, TrainingError
@@ -217,3 +221,105 @@ def test_forward_determinism_bitwise():
     y1, _ = nn.mlp_forward(p, x)
     y2, _ = nn.mlp_forward(p, x)
     assert np.array_equal(y1, y2)
+
+
+def _reference_forward(params, x):
+    """The forward pass with pre-activations cached and each activation
+    applied out of place, as ``mlp_forward`` computed it before it cached
+    activations; returns (output, layer inputs, pre-activations)."""
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    inputs, pre_acts = [], []
+    h = x
+    last = len(params.layers) - 1
+    for k, layer in enumerate(params.layers):
+        inputs.append(h)
+        z = h @ layer.weights.T + layer.biases
+        pre_acts.append(z)
+        if k == last or params.activation == "identity":
+            h = z
+        elif params.activation == "tanh":
+            h = np.tanh(z)
+        else:
+            h = np.maximum(z, 0.0)
+    return (h[0] if squeeze else h), inputs, pre_acts
+
+
+def _reference_backward(params, inputs, pre_acts, squeeze, output_grad):
+    """Backprop re-deriving each activation from the cached pre-activations."""
+    g = np.asarray(output_grad, dtype=np.float64)
+    if squeeze:
+        g = g[None, :]
+    grads = [None] * len(params.layers)
+    for k in range(len(params.layers) - 1, -1, -1):
+        if k != len(params.layers) - 1:
+            z = pre_acts[k]
+            if params.activation == "tanh":
+                a = np.tanh(z)
+                g = g * (1.0 - a * a)
+            elif params.activation == "relu":
+                g = g * (z > 0.0).astype(z.dtype)
+            else:
+                g = g * np.ones_like(z)
+        grads[k] = (g.T @ inputs[k], g.sum(axis=0))
+        g = g @ params.layers[k].weights
+    return grads, (g[0] if squeeze else g)
+
+
+_SPECIAL = np.array([0.0, -0.0, 1e-300, -1e3, 40.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       activation=st.sampled_from(nn.ACTIVATIONS),
+       hidden=st.lists(st.integers(1, 24), min_size=0, max_size=3),
+       in_dim=st.integers(1, 20), out_dim=st.integers(1, 6),
+       rows=st.sampled_from([None, 1, 2, 33, 512]),
+       specials=st.booleans())
+def test_forward_backward_match_reference(seed, activation, hidden, in_dim,
+                                          out_dim, rows, specials):
+    """``mlp_forward`` and ``mlp_backward`` are bit-identical to the
+    pre-activation formulas, NaN-equal, on vector (rows=None) and batch
+    inputs, and mutate neither the input nor the output gradient."""
+    rng = np.random.default_rng(seed)
+    p = nn.init_params([in_dim] + hidden + [out_dim], activation, seed=seed)
+    for layer in p.layers:
+        layer.biases[:] = rng.normal(size=layer.biases.shape)
+    shape = (in_dim,) if rows is None else (rows, in_dim)
+    x = rng.normal(scale=3.0, size=shape)
+    if specials:
+        x.reshape(-1)[:_SPECIAL.size] = _SPECIAL[:x.size]
+    x_before = x.copy()
+    with np.errstate(invalid="ignore"):
+        out, cache = nn.mlp_forward(p, x)
+        want_out, inputs, pre_acts = _reference_forward(p, x)
+    assert out.shape == want_out.shape
+    assert np.array_equal(out, want_out, equal_nan=True)
+
+    g_out = rng.normal(size=out.shape)
+    g_before = g_out.copy()
+    with np.errstate(invalid="ignore"):
+        grads, g_in = nn.mlp_backward(p, cache, g_out)
+        want_grads, want_in = _reference_backward(p, inputs, pre_acts,
+                                                  rows is None, g_out)
+    assert np.array_equal(g_in, want_in, equal_nan=True)
+    for got, (w, b) in zip(grads, want_grads):
+        assert np.array_equal(got.weights, w, equal_nan=True)
+        assert np.array_equal(got.biases, b, equal_nan=True)
+    assert np.array_equal(x, x_before, equal_nan=True)
+    assert np.array_equal(g_out, g_before)
+
+
+def test_forward_cache_holds_activations():
+    p = nn.init_params([4, 6, 5, 2], activation="tanh", seed=3)
+    x = np.random.default_rng(1).normal(size=(7, 4))
+    out, cache = nn.mlp_forward(p, x)
+    assert "pre_acts" not in {f.name for f in dataclasses.fields(nn.ForwardCache)}
+    assert not hasattr(cache, "pre_acts")
+    _, _, pre_acts = _reference_forward(p, x)
+    assert np.array_equal(cache.inputs[0], x)
+    for k in range(2):
+        assert np.array_equal(cache.inputs[k + 1], np.tanh(pre_acts[k]))
+    assert cache.output is out
