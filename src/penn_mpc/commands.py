@@ -49,9 +49,10 @@ def derive_seed(*parts: int) -> int:
 def _write_run_manifest(out: Path, command: str, cfg: ExperimentConfig) -> None:
     doc = {"command": command, "config_hash": config_hash(cfg),
            "seed": cfg.seed, "version": __version__}
-    (out / "run_manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    (out / "config.txt").write_text(dump_config(cfg))
+    with atomic_open(out / "run_manifest.json") as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    with atomic_open(out / "config.txt") as f:
+        f.write(dump_config(cfg))
 
 
 def _fmt(v: float) -> str:
@@ -63,8 +64,9 @@ def _write_eval_report(report: EvalReport, stem: Path) -> None:
     for name, unit, value in report.rows():
         label = f"{name} [{unit}]" if unit else name
         lines.append(f"  {label:<11} {value:.6f}")
-    stem.with_suffix(".txt").write_text("\n".join(lines) + "\n")
-    with open(stem.with_suffix(".csv"), "w", newline="") as f:
+    with atomic_open(stem.with_suffix(".txt")) as f:
+        f.write("\n".join(lines) + "\n")
+    with atomic_open(stem.with_suffix(".csv"), newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["metric", "unit", "value"])
         for name, unit, value in report.rows():
@@ -145,7 +147,7 @@ def _train_from_samples(cfg: ExperimentConfig, samples, seed: int, h: int,
 
 
 def _write_metrics_csv(history, path: Path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "rmse_vx", "rmse_vy", "rmse_r",
                          "rmse_total"])
@@ -235,7 +237,7 @@ def cmd_ablate_history(cfg: ExperimentConfig, out_dir, data_dir=None,
     report = AblationReport(h_values=h_values, reports=reports,
                             best_h=h_values[best_idx])
 
-    with open(out / "ablation.csv", "w", newline="") as f:
+    with atomic_open(out / "ablation.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["h", "rmse_total", "rmse_vx", "rmse_vy", "rmse_r",
                          "is_best"])
@@ -254,7 +256,8 @@ def cmd_ablate_history(cfg: ExperimentConfig, out_dir, data_dir=None,
     lines = ["".join([f"{header[0]:<15}"] + [f"{hdr:>{width}}" for hdr in header[1:]])]
     for label, values in rows:
         lines.append("".join([f"{label:<15}"] + [f"{v:>{width}.4f}" for v in values]))
-    (out / "ablation.txt").write_text("\n".join(lines) + "\n")
+    with atomic_open(out / "ablation.txt") as f:
+        f.write("\n".join(lines) + "\n")
     _write_run_manifest(out, "ablate-history", cfg)
     return report
 
@@ -397,7 +400,7 @@ def _run_closed_loop(model: PennModel, params, track, mppi_cfg: MppiConfig | Non
 
 
 def _write_diagnostics(rows: list[dict], mode: str, path: Path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(DIAG_COLUMNS)
         for row in rows:
@@ -464,7 +467,7 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
                               tag=f"deploy_{mode}",
                               envelope=2.5 * track.half_width, lap_target=laps)
 
-    with open(out / "trajectory.csv", "w", newline="") as f:
+    with atomic_open(out / "trajectory.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "vx", "vy", "r", "steer", "throttle", "x", "y",
                          "yaw", "s", "e_lat", "jrd"])
@@ -491,8 +494,9 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
         "jrd_threshold": threshold if math.isfinite(threshold) else None,
         "failed": result.failed,
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1)
-                                      + "\n")
+    with atomic_open(out / "summary.json") as f:
+        json.dump(summary, f, sort_keys=True, indent=1)
+        f.write("\n")
     _write_run_manifest(out, "deploy", cfg)
     return summary
 

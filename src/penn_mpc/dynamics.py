@@ -144,7 +144,10 @@ class PennModel:
         """Batched prediction surface: raw history arrays (N, H, 3) and
         (N, H, 2) to per-member raw increment means/variances (B, N, 3).
         Finiteness is the caller's concern (controllers mark bad particles
-        invalid)."""
+        invalid). The members' forward passes run in their parameters' dtype;
+        each output is upcast to float64 before the head, so the bounded
+        variance, the de-normalization and both returned arrays are float64
+        for a float32 copy too."""
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
         n = states.shape[0]
@@ -156,11 +159,21 @@ class PennModel:
         var_scale = std**2
         for i, params in enumerate(self.members):
             out, _ = nn.mlp_forward(params, feats)
-            mu_n, var_n = self._split_head(out)
+            mu_n, var_n = self._split_head(np.asarray(out, dtype=np.float64))
             np.multiply(mu_n, std, out=means[i])
             means[i] += mean
             np.multiply(var_n, var_scale, out=varis[i])
         return means, varis
+
+    def astype(self, dtype) -> "PennModel":
+        """A new model whose members' weights and biases are cast to
+        ``dtype``. It shares ``stats``; this model is left as it is."""
+        members = [
+            nn.MlpParams([nn.LayerParams(l.weights.astype(dtype),
+                                         l.biases.astype(dtype))
+                          for l in m.layers], m.activation, m.seed)
+            for m in self.members]
+        return replace(self, members=members)
 
     def _split_head(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.mode == "deterministic":
@@ -380,7 +393,15 @@ def _from_hex(vals, shape) -> np.ndarray:
 def save_checkpoint(model: PennModel, path) -> None:
     """Self-describing JSON checkpoint; floats stored as hex for bit-exact
     round trips. The file is replaced atomically, so an interrupted write
-    leaves the previous checkpoint intact."""
+    leaves the previous checkpoint intact. Only float64 members are saved: a
+    cast copy (``PennModel.astype``) raises ModelError and writes nothing,
+    since its rounded weights are not the trained model."""
+    for m in model.members:
+        for l in m.layers:
+            if l.weights.dtype != np.float64 or l.biases.dtype != np.float64:
+                raise ModelError(
+                    f"checkpoint needs float64 members, got {l.weights.dtype} "
+                    f"weights and {l.biases.dtype} biases")
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "mode": model.mode,

@@ -1,4 +1,4 @@
-"""Crash-safe file replacement for the outputs a resumed run reads back."""
+"""Crash-safe file replacement for every file a command writes."""
 
 from __future__ import annotations
 

@@ -12,6 +12,11 @@ mixture; the K rollouts are evaluated as one vectorized batch, which is
 order-insensitive and deterministically reduced by construction. Per-sample
 noise streams depend only on (seed, step, sample), so results never depend
 on scheduling.
+
+Precision: only the members' forward passes run in float32, on a copy of the
+model cast once per control step. Their outputs are upcast before the
+variance head, so the increments, the disagreement, states, poses and costs
+are float64, as are training, evaluation and checkpoints.
 """
 
 from __future__ import annotations
@@ -279,17 +284,19 @@ class MpcState:
 def mpc_step(state: MpcState, model, window, pose=None):
     """One control period: sample, roll out, reweight, update, emit.
 
-    Returns (action (2,), next MpcState, diagnostics). The emitted action is
-    the first step of the updated nominal; the stored nominal is shifted left
-    with the last step repeated. If every rollout is invalid the action is
-    zero and diagnostics["all_invalid"] is set.
+    The rollouts use ``model.astype(np.float32)``, cast once per call, so
+    the members' forward passes run in float32; the caller's model is not
+    changed. Returns (action (2,), next MpcState, diagnostics). The emitted
+    action is the first step of the updated nominal; the stored nominal is
+    shifted left with the last step repeated. If every rollout is invalid
+    the action is zero and diagnostics["all_invalid"] is set.
     """
     cfg = state.cfg
     noise = sample_perturbations(cfg, state.step_index)
     seqs = np.clip(state.nominal[None, :, :] + noise, -1.0, 1.0)
     members = np.arange(cfg.k) % max(model.b, 1)
     costs, jrd_vals, _, invalid = _rollout_batch(
-        model, window, seqs, state.spec, members, pose)
+        model.astype(np.float32), window, seqs, state.spec, members, pose)
     n_invalid = int(invalid.sum())
     diagnostics = {
         "n_invalid": n_invalid,

@@ -1,9 +1,11 @@
 """Minimal dense-network engine: forward pass, exact backprop, Adam.
 
-Sized for small MLPs in double precision with no ML-framework dependency.
-Every operation is pure: inputs are never mutated and fresh arrays are
-returned, so read-only parameter sharing across concurrent evaluations is
-safe by construction.
+Sized for small MLPs with no ML-framework dependency. Training runs in
+double precision; the forward pass follows the parameters' dtype, so the
+controller's rollouts run it in float32 on a cast copy of the members while
+every float64 network computes exactly as before. Every operation is pure:
+inputs are never mutated and fresh arrays are returned, so read-only
+parameter sharing across concurrent evaluations is safe by construction.
 """
 
 from __future__ import annotations
@@ -121,10 +123,12 @@ def init_params(layer_sizes: list[int], activation: str = "tanh",
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a vector or a (batch, in_dim) matrix.
 
+    The input is cast to the first layer's weight dtype, so float32
+    parameters give a float32 pass and float64 parameters a float64 one.
     Returns the output (matching the input's ndim) and a cache for
     ``mlp_backward``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.layers[0].weights.dtype)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]

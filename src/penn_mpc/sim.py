@@ -430,7 +430,7 @@ class EpisodeLog:
 
 
 def save_track_csv(track: Track, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["s", "x", "y", "curvature", "half_width"])
         for i in range(track.xy.shape[0]):

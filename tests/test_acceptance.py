@@ -273,6 +273,9 @@ def test_c5_mppi_properties():
             n = states.shape[0]
             return np.zeros((2, n, 3)), np.full((2, n, 3), 1e-4)
 
+        def astype(self, dtype):
+            return self
+
     u_star = np.array([0.9, -0.8])
 
     def step_cost(states, actions, prev_actions, jrd_vals):

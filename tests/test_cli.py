@@ -270,6 +270,34 @@ def test_deploy_outputs_and_modes(tmp_path, trained, collected):
     assert direct["jrd_threshold"] is None  # no dataset needed in direct mode
 
 
+def test_deploy_summary_interrupted_write_keeps_old_file(tmp_path, trained,
+                                                        monkeypatch):
+    # C7 resumes from summary.json, so a killed write must not tear it
+    out, _ = trained
+    run = tmp_path / "deploy"
+
+    def deploy():
+        commands.cmd_deploy(tiny_cfg(), run,
+                            checkpoint_path=out / "checkpoint.json",
+                            mode="direct")
+
+    deploy()
+    before = (run / "summary.json").read_bytes()
+    names = sorted(p.name for p in run.iterdir())
+    real_dump = commands.json.dump
+
+    def torn_dump(doc, f, **kw):
+        real_dump({"mode": "direct"}, f)
+        f.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(commands.json, "dump", torn_dump)
+    with pytest.raises(KeyboardInterrupt):
+        deploy()
+    assert (run / "summary.json").read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == names
+
+
 def test_deploy_safe_requires_ensemble(tmp_path, collected):
     cfg = tiny_cfg("model.mode=deterministic")
     result = commands.cmd_train(cfg, tmp_path / "train", data_dir=collected)

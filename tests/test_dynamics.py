@@ -251,7 +251,7 @@ def _reference_delta_batch(model, states, actions):
     for i, params in enumerate(model.members):
         out, _ = nn.mlp_forward(params, feats)
         if model.mode == "deterministic":
-            mu_n, var_n = out, np.full_like(out, model.var_min)
+            mu_n, var_n = out, np.full(out.shape, model.var_min)
         else:
             mu_n = out[..., :3]
             var_n, _ = dyn.bound_variance(out[..., 3:], model.var_min,
@@ -265,15 +265,20 @@ def _reference_delta_batch(model, states, actions):
 @given(seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from(["probabilistic", "deterministic"]),
        activation=st.sampled_from(nn.ACTIVATIONS),
-       n=st.sampled_from([1, 2, 512]), scale=st.sampled_from([1.0, 1e3]))
-def test_delta_batch_matches_reference(seed, mode, activation, n, scale):
+       n=st.sampled_from([1, 2, 512]), scale=st.sampled_from([1.0, 1e3]),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_delta_batch_matches_reference(seed, mode, activation, n, scale,
+                                       dtype):
     """A 5-member ``delta_batch`` is bit-identical to the reference formula;
-    ``scale`` drives raw variance outputs into both saturated ends."""
+    ``scale`` drives raw variance outputs into both saturated ends. For a
+    float32 copy the reference's head and de-normalization run in float64
+    on the float32 forward output, as ``delta_batch``'s must."""
     rng = np.random.default_rng(seed)
     stats = dyn.NormStats(rng.normal(size=20), rng.uniform(0.1, 3.0, 20),
                           rng.normal(size=3), rng.uniform(1e-3, 2.0, 3))
     model = dyn.build_model(h=4, b=5, hidden=[16, 16], mode=mode,
-                            activation=activation, seed=seed, stats=stats)
+                            activation=activation, seed=seed,
+                            stats=stats).astype(dtype)
     states = rng.normal(scale=scale, size=(n, 4, 3))
     actions = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
     got = model.delta_batch(states, actions)
@@ -281,6 +286,86 @@ def test_delta_batch_matches_reference(seed, mode, activation, n, scale):
     for g, w in zip(got, want):
         assert g.shape == (5, n, 3)
         assert np.array_equal(g, w)
+
+
+@pytest.fixture(scope="module")
+def trained_h4():
+    """A 5-member 64-64 ensemble trained for a few epochs, with its own raw
+    training histories."""
+    samples = _linear_samples(400, 4, seed=21)
+    model, _ = dyn.train(dyn.build_model(h=4, b=5, hidden=[64, 64], seed=21),
+                         samples, _linear_samples(100, 4, seed=22),
+                         dyn.TrainConfig(epochs=3, batch_size=64, seed=21))
+    states = np.stack([s.window.states for s in samples])
+    actions = np.stack([s.window.actions for s in samples])
+    return model, states, actions
+
+
+# float32 against float64 delta_batch, both de-normalized: the mean error in
+# units of target_std and the variances' relative error measured at most
+# 0.8e-6 and 1.3e-6 on this model (its training set and 20000 random
+# in-range histories), and 1.4e-6 and 5.4e-6 on the 40-epoch plant-data
+# checkpoints of perfbench's deploy_loop (seeds 0 and 3, over their whole
+# training sets); the bounds leave at least 7x headroom over both.
+F32_MEAN_ATOL = 1e-5   # times target_std
+F32_VAR_RTOL = 5e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 7, 512]),
+       source=st.sampled_from(["train", "random"]))
+def test_float32_delta_batch_within_contract(trained_h4, seed, n, source):
+    """A float32 copy predicts its training inputs and random in-range
+    histories within the stated bounds, and returns float64 arrays."""
+    model, train_states, train_actions = trained_h4
+    rng = np.random.default_rng(seed)
+    if source == "train":
+        idx = rng.integers(0, train_states.shape[0], size=n)
+        states, actions = train_states[idx], train_actions[idx]
+    else:
+        lo = train_states.min(axis=(0, 1))
+        hi = train_states.max(axis=(0, 1))
+        states = rng.uniform(lo, hi, size=(n, 4, 3))
+        actions = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
+    means64, varis64 = model.delta_batch(states, actions)
+    means32, varis32 = model.astype(np.float32).delta_batch(states, actions)
+    assert means32.dtype == varis32.dtype == np.float64
+    assert np.all(np.abs(means32 - means64)
+                  <= F32_MEAN_ATOL * model.stats.target_std)
+    assert np.all(np.abs(varis32 - varis64) <= F32_VAR_RTOL * varis64)
+
+
+def test_astype_casts_a_copy(trained_h4):
+    model, states, actions = trained_h4
+    before = [(l.weights.copy(), l.biases.copy())
+              for m in model.members for l in m.layers]
+    cast = model.astype(np.float32)
+    assert cast.stats is model.stats
+    assert all(l.weights.dtype == l.biases.dtype == np.float32
+               for m in cast.members for l in m.layers)
+    after = [(l.weights, l.biases) for m in model.members for l in m.layers]
+    for (w0, b0), (w1, b1) in zip(before, after):
+        assert w1.dtype == b1.dtype == np.float64
+        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+    # a float64 copy predicts bit-identically
+    for a, b in zip(model.delta_batch(states, actions),
+                    model.astype(np.float64).delta_batch(states, actions)):
+        assert np.array_equal(a, b)
+
+
+def test_checkpoint_refuses_float32_copy(tmp_path):
+    model = _stub_model(seed=4)
+    path = tmp_path / "model.json"
+    dyn.save_checkpoint(model, path)
+    before = path.read_bytes()
+    with pytest.raises(ModelError):
+        dyn.save_checkpoint(model.astype(np.float32), tmp_path / "f32.json")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    # float64 saves, of the model and of a float64 copy, are unchanged
+    dyn.save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    dyn.save_checkpoint(model.astype(np.float64), path)
+    assert path.read_bytes() == before
 
 
 def test_full_network_nll_gradient_fd():
