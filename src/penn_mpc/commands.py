@@ -270,7 +270,7 @@ def executed_jrd(model: PennModel, window: HistoryWindow) -> float:
     """Ensemble disagreement at one executed (history, action) point."""
     if model.mode != "probabilistic" or model.b < 2:
         return 0.0
-    means, varis = model.delta_batch(window.states[None], window.actions[None])
+    means, varis = model.delta_batch(window.pairs[None])
     return float(jrd_batch(means.transpose(1, 0, 2), varis.transpose(1, 0, 2))[0])
 
 
@@ -413,10 +413,7 @@ def _write_diagnostics(rows: list[dict], mode: str, path: Path) -> None:
 def train_set_jrd_percentile(model: PennModel, data_dir, q: float = 95.0) -> float:
     """Disagreement distribution of a dataset under a checkpoint, q-th pct."""
     episodes, _ = load_dataset(data_dir)
-    samples = window_episodes(episodes, model.h)
-    states = np.stack([s.window.states for s in samples])
-    actions = np.stack([s.window.actions for s in samples])
-    means, varis = model.delta_batch(states, actions)
+    means, varis = model.delta_batch(window_episodes(episodes, model.h).pairs)
     vals = jrd_batch(means.transpose(1, 0, 2), varis.transpose(1, 0, 2))
     return float(np.percentile(vals, q))
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import HistoryWindow
+from .dynamics import PAIR_DIM, STATE_DIM
 from .errors import DataError
 from .fileio import atomic_open
 from .sim import EpisodeLog
@@ -21,57 +22,63 @@ MANIFEST_NAME = "manifest.json"
 
 
 @dataclass
-class Sample:
-    """One training example: an H-pair window and the raw one-step increment
-    of the state after the window. Windows never span episode boundaries."""
+class Windows:
+    """N training windows: ``pairs`` (N, H, 5), each window's H (state,
+    action) pairs oldest first, and ``targets`` (N, 3), the raw increment of
+    the state after it. Both are C-contiguous float64, so reductions over
+    them run in one order. Supports ``len()`` and integer-array indexing."""
 
-    window: HistoryWindow
-    target: np.ndarray  # (3,) next state - last window state
-    episode_id: int
-    t_index: int
+    pairs: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.pairs = np.ascontiguousarray(self.pairs, dtype=np.float64)
+        self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return self.pairs.shape[0]
+
+    def __getitem__(self, idx) -> "Windows":
+        return Windows(self.pairs[idx], self.targets[idx])
 
 
 @dataclass
 class SplitDataset:
-    train: list
-    test: list
-    ratio: float
-    seed: int
+    train: Windows
+    test: Windows
 
 
-def window_episodes(episodes, h: int) -> list[Sample]:
+def window_episodes(episodes, h: int) -> Windows:
     """Slice every episode into windows of H pairs with one-step targets.
 
-    An episode of length L yields exactly L - H samples; episodes shorter than
-    H + 1 are skipped with a warning.
+    An episode of length L yields exactly L - H windows, taken in order with
+    one ``sliding_window_view``, so none spans an episode boundary. Episodes
+    shorter than H + 1 are skipped with a warning; with none left the arrays
+    are (0, H, 5) and (0, 3).
     """
     if h < 1:
         raise DataError(f"history length must be >= 1, got {h}")
-    samples: list[Sample] = []
+    pairs = [np.empty((0, h, PAIR_DIM))]
+    targets = [np.empty((0, STATE_DIM))]
     for ep_id, ep in enumerate(episodes):
-        n = ep.n_rows
-        if n < h + 1:
+        if ep.n_rows < h + 1:
             log.warning("episode %d (%s) has %d rows, too short for H=%d; skipped",
-                        ep_id, ep.tag, n, h)
+                        ep_id, ep.tag, ep.n_rows, h)
             continue
-        for i in range(n - h):
-            window = HistoryWindow(ep.states[i:i + h].copy(),
-                                   ep.actions[i:i + h].copy(), dt=ep.dt)
-            target = ep.states[i + h] - ep.states[i + h - 1]
-            samples.append(Sample(window=window, target=target,
-                                  episode_id=ep_id, t_index=i))
-    return samples
+        joined = np.concatenate([ep.states, ep.actions], axis=1)
+        pairs.append(sliding_window_view(joined, (h, PAIR_DIM))[:-1, 0])
+        targets.append(ep.states[h:] - ep.states[h - 1:-1])
+    return Windows(np.concatenate(pairs), np.concatenate(targets))
 
 
-def split(samples, ratio: float = 0.7, seed: int = 0) -> SplitDataset:
+def split(windows: Windows, ratio: float = 0.7, seed: int = 0) -> SplitDataset:
     """Uniform shuffle then prefix split; deterministic given the seed."""
-    if len(samples) < 10:
-        raise DataError(f"need at least 10 samples to split, got {len(samples)}")
-    perm = np.random.default_rng(seed).permutation(len(samples))
-    n_train = int(round(ratio * len(samples)))
-    train = [samples[i] for i in perm[:n_train]]
-    test = [samples[i] for i in perm[n_train:]]
-    return SplitDataset(train=train, test=test, ratio=ratio, seed=seed)
+    if len(windows) < 10:
+        raise DataError(f"need at least 10 samples to split, got {len(windows)}")
+    perm = np.random.default_rng(seed).permutation(len(windows))
+    n_train = int(round(ratio * len(windows)))
+    return SplitDataset(train=windows[perm[:n_train]],
+                        test=windows[perm[n_train:]])
 
 
 def save_dataset(episodes, directory, h: int | None = None,
@@ -115,17 +122,22 @@ def load_dataset(directory) -> tuple[list[EpisodeLog], dict]:
             manifest = json.load(f)
     except json.JSONDecodeError as e:
         raise DataError(f"malformed manifest {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
     if manifest.get("format_version") != 1:
         raise DataError(f"unsupported dataset version in {path}")
+    try:
+        dt = manifest["dt"]
+        entries = [(e["file"], e["rows"], e) for e in manifest["episodes"]]
+    except (KeyError, TypeError) as e:
+        raise DataError(f"malformed manifest {path}: {e!r}") from e
     episodes = []
-    for entry in manifest["episodes"]:
-        ep = EpisodeLog.from_csv(directory / entry["file"], tag=entry.get("tag", ""),
+    for name, rows, entry in entries:
+        ep = EpisodeLog.from_csv(directory / name, tag=entry.get("tag", ""),
                                  seed=entry.get("seed", 0),
-                                 truncated=entry.get("truncated", False),
-                                 dt=manifest["dt"])
-        if ep.n_rows != entry["rows"]:
+                                 truncated=entry.get("truncated", False), dt=dt)
+        if ep.n_rows != rows:
             raise DataError(
-                f"{entry['file']}: manifest says {entry['rows']} rows, "
-                f"file has {ep.n_rows}")
+                f"{name}: manifest says {rows} rows, file has {ep.n_rows}")
         episodes.append(ep)
     return episodes, manifest

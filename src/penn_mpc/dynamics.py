@@ -52,12 +52,9 @@ class HistoryWindow:
             raise ShapeError("actions must be (H, 2) matching states")
 
     @property
-    def h(self) -> int:
-        return self.states.shape[0]
-
-    def flat(self) -> np.ndarray:
-        """Interleave pairs oldest-first: (s0, a0, s1, a1, ...), length 5H."""
-        return np.concatenate([self.states, self.actions], axis=1).reshape(-1)
+    def pairs(self) -> np.ndarray:
+        """(H, 5) rows of (state, action), oldest first."""
+        return np.concatenate([self.states, self.actions], axis=1)
 
     def shifted(self, state: np.ndarray, action: np.ndarray) -> "HistoryWindow":
         """Functional shift: drop the oldest pair, append (state, action)."""
@@ -139,20 +136,18 @@ class PennModel:
     def activation(self) -> str:
         return self.members[0].activation
 
-    def delta_batch(self, states: np.ndarray,
-                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched prediction surface: raw history arrays (N, H, 3) and
-        (N, H, 2) to per-member raw increment means/variances (B, N, 3).
-        Finiteness is the caller's concern (controllers mark bad particles
-        invalid). The members' forward passes run in their parameters' dtype;
-        each output is upcast to float64 before the head, so the bounded
-        variance, the de-normalization and both returned arrays are float64
-        for a float32 copy too."""
-        states = np.asarray(states, dtype=np.float64)
-        actions = np.asarray(actions, dtype=np.float64)
-        n = states.shape[0]
-        flat = np.concatenate([states, actions], axis=2).reshape(n, -1)
-        feats = (flat - self.stats.input_mean) / self.stats.input_std
+    def delta_batch(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched prediction surface: raw (N, H, 5) histories of (state,
+        action) pairs, oldest first, to per-member raw increment means and
+        variances (B, N, 3). Finiteness is the caller's concern (controllers
+        mark bad particles invalid). The members' forward passes run in their
+        parameters' dtype; each output is upcast to float64 before the head,
+        so the bounded variance, the de-normalization and both returned
+        arrays are float64 for a float32 copy too."""
+        pairs = np.asarray(pairs, dtype=np.float64)
+        n = pairs.shape[0]
+        feats = _zscore(pairs.reshape(n, -1), self.stats.input_mean,
+                        self.stats.input_std)
         means = np.empty((self.b, n, STATE_DIM))
         varis = np.empty_like(means)
         std, mean = self.stats.target_std, self.stats.target_mean
@@ -180,6 +175,11 @@ class PennModel:
             return out, np.full_like(out, self.var_min)
         sig = _sigmoid(out[..., STATE_DIM:])
         return out[..., :STATE_DIM], self.var_min + (self.var_max - self.var_min) * sig
+
+
+def _zscore(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """The one normalization of features and targets, elementwise."""
+    return (x - mean) / std
 
 
 def _sigmoid(raw: np.ndarray) -> np.ndarray:
@@ -231,27 +231,21 @@ def rmse_report(pred_next: np.ndarray, true_next: np.ndarray) -> EvalReport:
                       n_samples=err.shape[0])
 
 
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened raw window features (N, 5H) and raw increment targets (N, 3).
-
-    Accepts any sequence of objects with ``window`` and ``target`` attributes.
-    """
-    if not samples:
-        raise TrainingError("empty sample list")
-    inputs = np.stack([s.window.flat() for s in samples])
-    targets = np.stack([np.asarray(s.target, dtype=np.float64) for s in samples])
-    return inputs, targets
+def stack_samples(windows) -> tuple[np.ndarray, np.ndarray]:
+    """Raw window features (N, 5H), a reshaped view of ``windows.pairs``
+    (N, H, 5), and raw increment targets (N, 3) (see ``data.Windows``)."""
+    if not len(windows):
+        raise TrainingError("no windows")
+    return windows.pairs.reshape(len(windows), -1), windows.targets
 
 
-def evaluate_rmse(model: PennModel, samples) -> EvalReport:
+def evaluate_rmse(model: PennModel, windows) -> EvalReport:
     """One-step next-state RMSE of the ensemble mean versus ground truth.
 
     Raises ModelError on non-finite member outputs.
     """
-    inputs, targets = stack_samples(samples)
-    pairs = inputs.reshape(inputs.shape[0], model.h, PAIR_DIM)
-    means, varis = model.delta_batch(pairs[:, :, :STATE_DIM],
-                                     pairs[:, :, STATE_DIM:])
+    _, targets = stack_samples(windows)
+    means, varis = model.delta_batch(windows.pairs)
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(varis))):
         raise ModelError("ensemble produced non-finite output")
     delta = means.mean(axis=0)
@@ -324,17 +318,19 @@ def train(model: PennModel, train_set, test_set,
           cfg: TrainConfig) -> tuple[PennModel, TrainingHistory]:
     """Minibatch Adam on each member's own bootstrap resample of the train set.
 
-    Normalization statistics are computed from the train set only. The best
-    checkpoint is the epoch with minimal pooled test RMSE of the ensemble.
-    Deterministic given cfg.seed.
+    Both sets are ``data.Windows``; normalization statistics come from the
+    train set only. The best checkpoint is the epoch with minimal pooled
+    test RMSE of the ensemble. Deterministic given cfg.seed.
     """
+    if cfg.epochs < 1:
+        raise TrainingError(f"need at least 1 epoch, got {cfg.epochs}")
     inputs, targets = stack_samples(train_set)
     if not test_set:
         raise TrainingError("empty test set")
     stats = NormStats.from_arrays(inputs, targets)
     model = replace(model, members=[m.copy() for m in model.members], stats=stats)
-    feats = (inputs - stats.input_mean) / stats.input_std
-    targets_n = (targets - stats.target_mean) / stats.target_std
+    feats = _zscore(inputs, stats.input_mean, stats.input_std)
+    targets_n = _zscore(targets, stats.target_mean, stats.target_std)
     n = feats.shape[0]
 
     rngs = [np.random.default_rng([cfg.seed, 7919, i]) for i in range(model.b)]

@@ -154,22 +154,22 @@ def rollout_cost(spec: CostSpec, seqs: np.ndarray, prev_u0: np.ndarray,
 
 
 def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
-                   members: np.ndarray | None, pose=None):
+                   members: np.ndarray, pose=None):
     """Vectorized rollouts of K action sequences from one shared history.
 
-    ``members`` assigns one ensemble member per rollout (None propagates the
-    ensemble-mean increment). seqs[:, 0] replaces the newest action in the
-    window; the pre-replacement newest action seeds the control-rate cost.
-    A rollout is invalid, with infinite cost, when its state turns
-    non-finite or (deploy modes) its pose ends a step more than 5 track
-    half-widths from the centerline.
+    ``members`` (K,) assigns one ensemble member per rollout. The rollouts
+    share one (K, H, 5) history of (state, action) pairs: each step writes
+    seqs[:, t] into the newest action, predicts, shifts once and writes the
+    new state into the newest pair; the window's own newest action seeds
+    the control-rate cost. A rollout is invalid, with infinite cost, when
+    its state turns non-finite or (deploy modes) its pose ends a step more
+    than 5 track half-widths from the centerline.
     Returns (costs (K,), jrd (K, T), states (K, T+1, 3), invalid (K,)).
     """
     seqs = np.asarray(seqs, dtype=np.float64)
     k, t_hor = seqs.shape[0], seqs.shape[1]
-    states_hist = np.repeat(window.states[None, :, :], k, axis=0)
-    actions_hist = np.repeat(window.actions[None, :, :], k, axis=0)
-    cur = states_hist[:, -1].copy()
+    hist = np.repeat(window.pairs[None], k, axis=0)
+    cur = hist[:, -1, :3].copy()
     traj = np.empty((k, t_hor + 1, 3))
     traj[:, 0] = cur
     jrd_vals = np.zeros((k, t_hor))
@@ -182,8 +182,8 @@ def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
         e_lat = np.empty((k, t_hor))
 
     for t in range(t_hor):
-        actions_hist[:, -1] = seqs[:, t]
-        means, varis = model.delta_batch(states_hist, actions_hist)
+        hist[:, -1, 3:] = seqs[:, t]
+        means, varis = model.delta_batch(hist)
         if model.b >= 2:
             next_means = cur[None, :, :] + means
             jrd_t = jrd_batch(next_means.transpose(1, 0, 2),
@@ -191,11 +191,7 @@ def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
         else:
             jrd_t = np.zeros(k)
         jrd_vals[:, t] = jrd_t
-        if members is None:
-            delta = means.mean(axis=0)
-        else:
-            delta = means[members, np.arange(k)]
-        new = cur + delta
+        new = cur + means[members, np.arange(k)]
         bad = ~np.all(np.isfinite(new), axis=1) | ~np.isfinite(jrd_t)
         if bad.any():
             invalid |= bad
@@ -210,10 +206,8 @@ def _rollout_batch(model, window, seqs: np.ndarray, spec: CostSpec,
                                                     spec.track)
             e_lat[:, t] = e_lat_t
             invalid |= dist > 5.0 * spec.track.half_width
-        # history shift (functional per particle)
-        states_hist[:, :-1] = states_hist[:, 1:]
-        states_hist[:, -1] = new
-        actions_hist[:, :-1] = actions_hist[:, 1:]
+        hist[:, :-1] = hist[:, 1:]
+        hist[:, -1, :3] = new
         cur = new
         traj[:, t + 1] = cur
     cost = rollout_cost(spec, seqs, window.actions[-1], traj, jrd_vals, e_lat)

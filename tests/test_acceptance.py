@@ -269,8 +269,8 @@ def test_c5_mppi_properties():
     class ZeroModel:
         b, h, mode, dt = 2, 2, "probabilistic", 0.1
 
-        def delta_batch(self, states, actions):
-            n = states.shape[0]
+        def delta_batch(self, pairs):
+            n = pairs.shape[0]
             return np.zeros((2, n, 3)), np.full((2, n, 3), 1e-4)
 
         def astype(self, dtype):

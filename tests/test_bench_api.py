@@ -1,0 +1,83 @@
+"""The benchmark in ``perfbench/`` drives the package's public API and
+times it through ``perfbench/spans.py`` shims. This test walks that API on
+a tiny dataset with the shims installed, so renaming or reshaping a name
+the benchmark uses fails here instead of in a benchmark run."""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from penn_mpc import commands, data, dynamics, mppi, sim
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the module executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _episode(n, seed):
+    rng = np.random.default_rng(seed)
+    return sim.EpisodeLog(t=np.arange(n) * 0.1,
+                          states=rng.normal(size=(n, 3)) + [5.0, 0.0, 0.0],
+                          actions=rng.uniform(-1, 1, (n, 2)),
+                          poses=np.zeros((n, 3)), dt=0.1, tag="t", seed=seed)
+
+
+def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
+    spans = _load_spans(monkeypatch)
+    originals = [(owner, attr, owner.__dict__[attr])
+                 for owner, attr, *_ in spans._TARGETS]
+    episodes = [_episode(30, 1), _episode(25, 2)]
+    data.save_dataset(episodes, tmp_path / "data", h=2)
+    tr = spans.Tracer()
+    tr.install()
+    try:
+        windows = data.window_episodes(episodes, 2)
+        ds = data.split(windows, 0.7, seed=0)
+        model0 = dynamics.build_model(h=2, b=2, hidden=[4], seed=0)
+        model, history = dynamics.train(
+            model0, ds.train, ds.test,
+            dynamics.TrainConfig(epochs=1, batch_size=16, seed=0))
+        _, targets = dynamics.stack_samples(ds.test)
+        threshold = commands.train_set_jrd_percentile(model, tmp_path / "data")
+        window = dynamics.HistoryWindow(episodes[0].states[:2],
+                                        episodes[0].actions[:2], dt=0.1)
+        cfg = mppi.MppiConfig(k=4, horizon=3, seed=0)
+        state = mppi.MpcState(cfg=cfg, spec=mppi.CostSpec(mode="explore"))
+        action, state, _ = mppi.mpc_step(state, model, window)
+        exec_jrd = commands.executed_jrd(model, window)
+        window = window.shifted(np.array([5.0, 0.0, 0.0]), action)
+    finally:
+        tr.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
+
+    assert len(ds.train) + len(ds.test) == len(windows) == 28 + 23
+    assert targets.shape == (len(ds.test), 3)
+    assert np.isfinite(history.reports[history.best_epoch].rmse_total)
+    assert np.isfinite(threshold) and np.isfinite(exec_jrd)
+    assert window.states.shape == (2, 3) and window.actions.shape == (2, 2)
+    assert window.dt == 0.1 and np.array_equal(window.actions[-1], action)
+
+    # the work counts the benchmark gates on
+    names = Counter(s.name for s in tr.spans)
+    assert names["data.window_episodes"] == 2  # here and in the percentile
+    in_train = Counter(s.name for i, s in enumerate(tr.spans)
+                       if tr.inside(i, "dynamics.train"))
+    assert in_train["dynamics.stack_samples"] == 1 + 1  # 1 + epochs
+    assert in_train["dynamics.evaluate_rmse"] == 1      # once per epoch
+    rows = [s.rows for i, s in enumerate(tr.spans)
+            if s.name == "dynamics.delta_batch" and tr.inside(i, "mppi.mpc_step")]
+    assert rows == [cfg.k] * cfg.horizon
+    mlp_rows = [s.rows for i, s in enumerate(tr.spans)
+                if s.name == "nn.mlp_forward" and tr.inside(i, "mppi.mpc_step")]
+    assert mlp_rows == [cfg.k] * (cfg.horizon * model.b)

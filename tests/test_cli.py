@@ -356,6 +356,17 @@ def test_cli_success_clears_stale_failed_flag(tmp_path):
     assert not (out / "FAILED").exists()
 
 
+def test_cli_malformed_manifest_exits_3(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "manifest.json").write_text('{"format_version": 1, "dt": 0.1}')
+    out = tmp_path / "run"
+    code = cli.main(["train", "--data", str(data_dir), "--out", str(out)])
+    assert code == 3
+    assert (out / "FAILED").exists()
+    assert "malformed manifest" in capsys.readouterr().err
+
+
 def test_cli_os_error_exits_3(tmp_path, capsys):
     # --out names an existing file, so the output directory cannot be made
     blocker = tmp_path / "taken"

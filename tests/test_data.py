@@ -1,9 +1,14 @@
 """Windowing, splitting, normalization statistics, and dataset persistence."""
 
 import json
+import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penn_mpc import data
 from penn_mpc.dynamics import (STD_FLOOR, NormStats, TrainConfig, build_model,
@@ -28,31 +33,91 @@ def test_window_count():
 
 def test_window_no_cross_boundary():
     eps = [make_episode(50, seed=1), make_episode(30, seed=2)]
-    samples = data.window_episodes(eps, h=4)
-    assert len(samples) == (50 - 4) + (30 - 4)
-    assert {s.episode_id for s in samples} == {0, 1}
+    windows = data.window_episodes(eps, h=4)
+    assert len(windows) == (50 - 4) + (30 - 4)
+    # episode by episode, each windowed on its own
+    alone = [data.window_episodes([ep], h=4) for ep in eps]
+    assert np.array_equal(windows.pairs,
+                          np.concatenate([w.pairs for w in alone]))
+    assert np.array_equal(windows.targets,
+                          np.concatenate([w.targets for w in alone]))
 
 
 def test_window_constant_episode_zero_targets():
-    samples = data.window_episodes([make_episode(20, constant=True)], h=3)
-    for s in samples:
-        assert np.array_equal(s.target, np.zeros(3))
+    windows = data.window_episodes([make_episode(20, constant=True)], h=3)
+    assert np.array_equal(windows.targets, np.zeros((17, 3)))
 
 
 def test_window_alignment_reconstructs_episode():
     ep = make_episode(40, seed=3)
-    samples = data.window_episodes([ep], h=5)
-    for s in samples:
-        next_state = s.window.states[-1] + s.target
-        assert np.allclose(next_state, ep.states[s.t_index + 5], atol=0)
-        assert np.array_equal(s.window.states[0], ep.states[s.t_index])
+    windows = data.window_episodes([ep], h=5)
+    for i in range(len(windows)):
+        next_state = windows.pairs[i, -1, :3] + windows.targets[i]
+        assert np.allclose(next_state, ep.states[i + 5], atol=0)
+        assert np.array_equal(windows.pairs[i, 0, :3], ep.states[i])
+        assert np.array_equal(windows.pairs[i, 0, 3:], ep.actions[i])
 
 
 def test_window_skips_short_episode(caplog):
     eps = [make_episode(4, seed=1), make_episode(30, seed=2)]
-    samples = data.window_episodes(eps, h=4)
-    assert len(samples) == 26
-    assert all(s.episode_id == 1 for s in samples)
+    with caplog.at_level(logging.WARNING, logger=data.__name__):
+        windows = data.window_episodes(eps, h=4)
+    assert len(windows) == 26
+    assert np.array_equal(windows.pairs,
+                          data.window_episodes(eps[1:], h=4).pairs)
+    assert "too short for H=4" in caplog.text
+
+
+def test_window_all_short_gives_empty_arrays():
+    windows = data.window_episodes([make_episode(3), make_episode(0)], h=3)
+    assert len(windows) == 0
+    assert windows.pairs.shape == (0, 3, 5)
+    assert windows.targets.shape == (0, 3)
+    with pytest.raises(DataError):
+        data.split(windows)
+
+
+def _reference_windows(episodes, h):
+    """Per-row loop: window i of an episode is its states and actions at
+    rows i..i+H-1 side by side, and its target is the state at row i+H
+    minus the state at row i+H-1."""
+    pairs, targets = [], []
+    for ep in episodes:
+        for i in range(ep.n_rows - h):
+            pairs.append(np.concatenate([ep.states[i:i + h],
+                                         ep.actions[i:i + h]], axis=1))
+            targets.append(ep.states[i + h] - ep.states[i + h - 1])
+    return pairs, targets
+
+
+@st.composite
+def episode_sets(draw):
+    h = draw(st.integers(1, 10))
+    lengths = draw(st.lists(st.integers(0, h + 6), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return h, [make_episode(n, seed=seed + i) for i, n in enumerate(lengths)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=episode_sets())
+def test_window_episodes_matches_per_row_reference(case):
+    h, eps = case
+    windows = data.window_episodes(eps, h)
+    pairs, targets = _reference_windows(eps, h)
+    # L - H windows per episode, none for an episode shorter than H + 1
+    assert len(windows) == sum(max(ep.n_rows - h, 0) for ep in eps)
+    assert len(windows) == len(pairs)
+    assert windows.pairs.shape == (len(pairs), h, 5)
+    assert windows.targets.shape == (len(pairs), 3)
+    assert windows.pairs.flags.c_contiguous
+    assert windows.pairs.dtype == windows.targets.dtype == np.float64
+    # each window is rows of exactly one episode, in episode then time order
+    for i, (p, t) in enumerate(zip(pairs, targets)):
+        assert np.array_equal(windows.pairs[i], p)
+        assert np.array_equal(windows.targets[i], t)
+    if not pairs:
+        with pytest.raises(DataError):
+            data.split(windows)
 
 
 def test_split_counts():
@@ -61,23 +126,26 @@ def test_split_counts():
     assert len(ds.train) == 70 and len(ds.test) == 30
 
 
+def _rows(windows):
+    """One key per window: the bytes of its pairs and its target."""
+    return [p.tobytes() + t.tobytes()
+            for p, t in zip(windows.pairs, windows.targets)]
+
+
 def test_split_deterministic_and_disjoint():
-    samples = data.window_episodes([make_episode(60)], h=2)
-    a = data.split(samples, 0.7, seed=9)
-    b = data.split(samples, 0.7, seed=9)
-    key = lambda s: (s.episode_id, s.t_index)
-    assert [key(s) for s in a.train] == [key(s) for s in b.train]
-    train_keys = {key(s) for s in a.train}
-    test_keys = {key(s) for s in a.test}
-    assert not train_keys & test_keys
-    assert len(train_keys | test_keys) == len(samples)
+    windows = data.window_episodes([make_episode(60)], h=2)
+    a = data.split(windows, 0.7, seed=9)
+    b = data.split(windows, 0.7, seed=9)
+    assert _rows(a.train) == _rows(b.train)
+    assert not set(_rows(a.train)) & set(_rows(a.test))
+    assert len(set(_rows(a.train)) | set(_rows(a.test))) == len(windows)
 
 
 def test_split_union_is_input():
-    samples = data.window_episodes([make_episode(40)], h=3)
-    ds = data.split(samples, 0.7, seed=1)
-    assert sorted(id(s) for s in ds.train + ds.test) == \
-        sorted(id(s) for s in samples)
+    windows = data.window_episodes([make_episode(40)], h=3)
+    ds = data.split(windows, 0.7, seed=1)
+    assert sorted(_rows(ds.train) + _rows(ds.test)) == sorted(_rows(windows))
+    assert ds.train.pairs.flags.c_contiguous and ds.test.pairs.flags.c_contiguous
 
 
 def test_split_needs_enough_samples():
@@ -89,7 +157,7 @@ def test_split_needs_enough_samples():
 def trained_stats(train_samples, test_samples=None):
     """Normalization statistics of a model trained for one epoch; they are
     those of the stacked train samples."""
-    model0 = build_model(h=train_samples[0].window.h, b=1, hidden=[4])
+    model0 = build_model(h=train_samples.pairs.shape[1], b=1, hidden=[4])
     model, _ = train(model0, train_samples, test_samples or train_samples[:1],
                      TrainConfig(epochs=1, batch_size=len(train_samples)))
     expect = NormStats.from_arrays(*stack_samples(train_samples))
@@ -121,7 +189,7 @@ def test_norm_stats_standard_normal():
 def test_norm_stats_order_independent():
     samples = data.window_episodes([make_episode(50, seed=5)], h=3)
     a = trained_stats(samples)
-    b = trained_stats(list(reversed(samples)))
+    b = trained_stats(samples[np.arange(len(samples))[::-1]])
     assert np.allclose(a.input_mean, b.input_mean, atol=1e-12)
     assert np.allclose(a.input_std, b.input_std, atol=1e-12)
 
@@ -151,9 +219,65 @@ def test_dataset_sidecar_h_reproduces_samples(tmp_path):
     back, manifest = data.load_dataset(tmp_path / "ds")
     again = data.window_episodes(back, h=manifest["h"])
     assert len(again) == len(original)
-    for a, b in zip(original, again):
-        assert np.allclose(a.window.flat(), b.window.flat(), rtol=1e-8, atol=1e-11)
-        assert (a.episode_id, a.t_index) == (b.episode_id, b.t_index)
+    assert np.allclose(again.pairs, original.pairs, rtol=1e-8, atol=1e-11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       tags=st.lists(st.text("abc_xyz", max_size=6), min_size=3, max_size=3),
+       truncated=st.lists(st.booleans(), min_size=3, max_size=3),
+       h=st.one_of(st.none(), st.integers(1, 10)))
+def test_dataset_round_trip_property(lengths, seed, scale, tags, truncated, h):
+    """A saved dataset loads back with its tags, seeds, flags and row counts,
+    the values to the 9 written significant digits, and saving what was
+    loaded writes the same bytes."""
+    rng = np.random.default_rng(seed)
+    eps = [EpisodeLog(t=np.arange(n) * 0.1,
+                      states=rng.normal(scale=scale, size=(n, 3)),
+                      actions=rng.uniform(-1, 1, (n, 2)),
+                      poses=rng.normal(scale=scale, size=(n, 3)), dt=0.1,
+                      tag=tags[i], seed=seed + i, truncated=truncated[i])
+           for i, n in enumerate(lengths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        data.save_dataset(eps, first, h=h)
+        back, manifest = data.load_dataset(first)
+        assert manifest["h"] == h and manifest["dt"] == 0.1
+        assert len(back) == len(eps)
+        for a, b in zip(eps, back):
+            assert (b.tag, b.seed, b.truncated, b.n_rows, b.dt) == \
+                (a.tag, a.seed, a.truncated, a.n_rows, a.dt)
+            for name in ("t", "states", "actions", "poses"):
+                assert np.allclose(getattr(b, name), getattr(a, name),
+                                   rtol=1e-8, atol=1e-300)
+        data.save_dataset(back, second, h=h)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+_BAD_MANIFESTS = {
+    "not_an_object": [1, 2],
+    "no_episodes": {"format_version": 1, "dt": 0.1},
+    "no_dt": {"format_version": 1,
+              "episodes": [{"file": "episode_0000.csv", "rows": 30}]},
+    "entry_without_file": {"format_version": 1, "dt": 0.1,
+                           "episodes": [{"rows": 30}]},
+    "entry_without_rows": {"format_version": 1, "dt": 0.1,
+                           "episodes": [{"file": "episode_0000.csv"}]},
+    "entry_not_an_object": {"format_version": 1, "dt": 0.1,
+                            "episodes": ["episode_0000.csv"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+def test_dataset_malformed_manifest(tmp_path, case):
+    data.save_dataset([make_episode(30, seed=9)], tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(_BAD_MANIFESTS[case]))
+    with pytest.raises(DataError):
+        data.load_dataset(tmp_path)
 
 
 def test_dataset_missing_manifest(tmp_path):

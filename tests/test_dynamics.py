@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penn_mpc import commands, config, mppi, nn
+from penn_mpc import commands, config, data, mppi, nn
 from penn_mpc import dynamics as dyn
 from penn_mpc.errors import (CheckpointError, ConfigError, ModelError, ShapeError,
                              TrainingError)
@@ -27,8 +27,8 @@ def _stub_model(h=2, b=3, mode="probabilistic", stats=None, seed=0):
 
 
 def _one(window):
-    """A single window as the (1, H, 3) and (1, H, 2) batch delta_batch takes."""
-    return window.states[None], window.actions[None]
+    """A single window as the (1, H, 5) batch delta_batch takes."""
+    return window.pairs[None]
 
 
 def _zero_member(model, i=0):
@@ -41,12 +41,12 @@ def _zero_member(model, i=0):
 
 def test_build_input_identity_stats(window):
     # delta_batch feeds the network the window interleaved oldest first
-    flat = window.flat()
-    assert flat.shape == (20,)
+    assert window.pairs.shape == (4, 5)
+    flat = window.pairs.reshape(-1)
     assert np.array_equal(flat[:3], window.states[0])
     assert np.array_equal(flat[3:5], window.actions[0])
     model = _stub_model(h=4, b=1)
-    means, _ = model.delta_batch(*_one(window))
+    means, _ = model.delta_batch(_one(window))
     out, _ = nn.mlp_forward(model.members[0], flat[None])
     assert np.array_equal(means[0], out[:, :3])
 
@@ -55,12 +55,12 @@ def test_build_input_constant_feature_floored():
     states = np.ones((3, 3)) * 2.0
     actions = np.zeros((3, 2))
     w = dyn.HistoryWindow(states, actions)
-    samples_flat = np.stack([w.flat(), w.flat()])
+    samples_flat = np.stack([w.pairs.reshape(-1)] * 2)
     stats = dyn.NormStats.from_arrays(samples_flat, np.zeros((2, 3)))
     assert np.all(stats.input_std == dyn.STD_FLOOR)
     # a floored constant feature normalizes to exactly zero
     model = _stub_model(h=3, b=1, stats=stats)
-    means, varis = model.delta_batch(*_one(w))
+    means, varis = model.delta_batch(_one(w))
     out, _ = nn.mlp_forward(model.members[0], np.zeros((1, 15)))
     mu_n, var_n = model._split_head(out)
     assert np.array_equal(means[0], mu_n * stats.target_std + stats.target_mean)
@@ -81,7 +81,7 @@ def test_predict_member_variance_clamps():
     for raw, expect in ((-1e3, model.var_min), (1e3, model.var_max)):
         m = _zero_member(model)
         m.layers[-1].biases[3:] = raw
-        _, varis = model.delta_batch(*_one(w))
+        _, varis = model.delta_batch(_one(w))
         assert varis[0, 0] == pytest.approx(np.full(3, expect), rel=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_predict_member_denormalizes_mean():
     model = _stub_model(stats=stats)
     _zero_member(model).layers[-1].biases[:3] = 1.0  # normalized mean head = 1
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    means, varis = model.delta_batch(*_one(w))
+    means, varis = model.delta_batch(_one(w))
     assert np.allclose(means[0], 2.0)  # mu_raw = mu_hat * std + mean
     # variance de-normalizes with std^2
     norm_var = dyn.bound_variance(np.zeros(3), model.var_min, model.var_max)[0]
@@ -126,7 +126,7 @@ def test_predict_ensemble_identical_members_agree():
     src = model.members[0]
     model.members = [src.copy() for _ in range(3)]
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    means, varis = model.delta_batch(*_one(w))
+    means, varis = model.delta_batch(_one(w))
     for i in (1, 2):
         assert np.array_equal(means[i], means[0])
         assert np.array_equal(varis[i], varis[0])
@@ -135,9 +135,9 @@ def test_predict_ensemble_identical_members_agree():
 def test_predict_ensemble_member_order():
     model = _stub_model(b=4, seed=9)
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    means, varis = model.delta_batch(*_one(w))
+    means, varis = model.delta_batch(_one(w))
     for i in range(4):
-        out, _ = nn.mlp_forward(model.members[i], w.flat()[None])
+        out, _ = nn.mlp_forward(model.members[i], w.pairs.reshape(1, -1))
         mu_n, var_n = model._split_head(out)
         assert np.array_equal(means[i], mu_n)  # identity stats
         assert np.array_equal(varis[i], var_n)
@@ -240,11 +240,12 @@ def test_bound_variance_matches_masked_formula():
             assert np.array_equal(g, w, equal_nan=True)
 
 
-def _reference_delta_batch(model, states, actions):
+def _reference_delta_batch(model, pairs):
     """``delta_batch`` de-normalizing out of place through ``bound_variance``
-    (which also computes the unused derivative), as it was first written."""
-    n = states.shape[0]
-    flat = np.concatenate([states, actions], axis=2).reshape(n, -1)
+    (which also computes the unused derivative), as it was first written,
+    with the features joined pair by pair: (s0, a0, s1, a1, ...)."""
+    n = pairs.shape[0]
+    flat = np.concatenate([pairs[:, j] for j in range(pairs.shape[1])], axis=1)
     feats = (flat - model.stats.input_mean) / model.stats.input_std
     means = np.empty((model.b, n, 3))
     varis = np.empty_like(means)
@@ -279,10 +280,10 @@ def test_delta_batch_matches_reference(seed, mode, activation, n, scale,
     model = dyn.build_model(h=4, b=5, hidden=[16, 16], mode=mode,
                             activation=activation, seed=seed,
                             stats=stats).astype(dtype)
-    states = rng.normal(scale=scale, size=(n, 4, 3))
-    actions = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
-    got = model.delta_batch(states, actions)
-    want = _reference_delta_batch(model, states, actions)
+    pairs = np.concatenate([rng.normal(scale=scale, size=(n, 4, 3)),
+                            rng.uniform(-1.0, 1.0, size=(n, 4, 2))], axis=2)
+    got = model.delta_batch(pairs)
+    want = _reference_delta_batch(model, pairs)
     for g, w in zip(got, want):
         assert g.shape == (5, n, 3)
         assert np.array_equal(g, w)
@@ -296,9 +297,7 @@ def trained_h4():
     model, _ = dyn.train(dyn.build_model(h=4, b=5, hidden=[64, 64], seed=21),
                          samples, _linear_samples(100, 4, seed=22),
                          dyn.TrainConfig(epochs=3, batch_size=64, seed=21))
-    states = np.stack([s.window.states for s in samples])
-    actions = np.stack([s.window.actions for s in samples])
-    return model, states, actions
+    return model, samples.pairs
 
 
 # float32 against float64 delta_batch, both de-normalized: the mean error in
@@ -317,18 +316,17 @@ F32_VAR_RTOL = 5e-5
 def test_float32_delta_batch_within_contract(trained_h4, seed, n, source):
     """A float32 copy predicts its training inputs and random in-range
     histories within the stated bounds, and returns float64 arrays."""
-    model, train_states, train_actions = trained_h4
+    model, train_pairs = trained_h4
     rng = np.random.default_rng(seed)
     if source == "train":
-        idx = rng.integers(0, train_states.shape[0], size=n)
-        states, actions = train_states[idx], train_actions[idx]
+        pairs = train_pairs[rng.integers(0, train_pairs.shape[0], size=n)]
     else:
-        lo = train_states.min(axis=(0, 1))
-        hi = train_states.max(axis=(0, 1))
-        states = rng.uniform(lo, hi, size=(n, 4, 3))
-        actions = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
-    means64, varis64 = model.delta_batch(states, actions)
-    means32, varis32 = model.astype(np.float32).delta_batch(states, actions)
+        lo = train_pairs[:, :, :3].min(axis=(0, 1))
+        hi = train_pairs[:, :, :3].max(axis=(0, 1))
+        pairs = np.concatenate([rng.uniform(lo, hi, size=(n, 4, 3)),
+                                rng.uniform(-1.0, 1.0, size=(n, 4, 2))], axis=2)
+    means64, varis64 = model.delta_batch(pairs)
+    means32, varis32 = model.astype(np.float32).delta_batch(pairs)
     assert means32.dtype == varis32.dtype == np.float64
     assert np.all(np.abs(means32 - means64)
                   <= F32_MEAN_ATOL * model.stats.target_std)
@@ -336,7 +334,7 @@ def test_float32_delta_batch_within_contract(trained_h4, seed, n, source):
 
 
 def test_astype_casts_a_copy(trained_h4):
-    model, states, actions = trained_h4
+    model, pairs = trained_h4
     before = [(l.weights.copy(), l.biases.copy())
               for m in model.members for l in m.layers]
     cast = model.astype(np.float32)
@@ -348,8 +346,8 @@ def test_astype_casts_a_copy(trained_h4):
         assert w1.dtype == b1.dtype == np.float64
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
     # a float64 copy predicts bit-identically
-    for a, b in zip(model.delta_batch(states, actions),
-                    model.astype(np.float64).delta_batch(states, actions)):
+    for a, b in zip(model.delta_batch(pairs),
+                    model.astype(np.float64).delta_batch(pairs)):
         assert np.array_equal(a, b)
 
 
@@ -407,14 +405,13 @@ def _linear_samples(n, h, seed, drift=0.9):
     rng = np.random.default_rng(seed)
     a = np.array([[-0.05, 0.02, 0.0], [0.0, -0.1, 0.01], [0.01, 0.0, -0.08]])
     b = np.array([[0.0, 0.3], [0.2, 0.0], [0.5, 0.1]])
-    samples = []
-    for _ in range(n):
-        states = rng.normal(scale=drift, size=(h, 3))
-        actions = rng.uniform(-1, 1, size=(h, 2))
-        target = a @ states[-1] + b @ actions[-1]
-        samples.append(type("S", (), {
-            "window": dyn.HistoryWindow(states, actions), "target": target})())
-    return samples
+    pairs = np.empty((n, h, 5))
+    targets = np.empty((n, 3))
+    for i in range(n):
+        pairs[i, :, :3] = rng.normal(scale=drift, size=(h, 3))
+        pairs[i, :, 3:] = rng.uniform(-1, 1, size=(h, 2))
+        targets[i] = a @ pairs[i, -1, :3] + b @ pairs[i, -1, 3:]
+    return data.Windows(pairs, targets)
 
 
 def test_train_learns_linear_system():
@@ -455,8 +452,21 @@ def test_train_best_checkpoint_not_worse_than_last():
 
 def test_train_rejects_empty():
     model0 = dyn.build_model(h=2, b=1, hidden=[4], seed=0)
+    empty = data.window_episodes([], 2)
     with pytest.raises(TrainingError):
-        dyn.train(model0, [], [], dyn.TrainConfig(epochs=1))
+        dyn.train(model0, empty, empty, dyn.TrainConfig(epochs=1))
+    with pytest.raises(TrainingError):
+        dyn.train(model0, _linear_samples(20, 2, seed=1), empty,
+                  dyn.TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_train_rejects_no_epochs(epochs):
+    # without an epoch there is no best checkpoint to return
+    model0 = dyn.build_model(h=2, b=1, hidden=[4], seed=0)
+    samples = _linear_samples(20, 2, seed=1)
+    with pytest.raises(TrainingError):
+        dyn.train(model0, samples, samples, dyn.TrainConfig(epochs=epochs))
 
 
 def test_train_stats_from_train_only():
@@ -464,8 +474,8 @@ def test_train_stats_from_train_only():
     test_set = _linear_samples(50, 2, seed=7, drift=5.0)  # different scale
     best, _ = dyn.train(dyn.build_model(h=2, b=1, hidden=[8], seed=0),
                         train_set, test_set, dyn.TrainConfig(epochs=3))
-    inputs = np.stack([s.window.flat() for s in train_set])
-    targets = np.stack([s.target for s in train_set])
+    inputs = train_set.pairs.reshape(len(train_set), -1)
+    targets = train_set.targets
     assert np.allclose(best.stats.input_mean, inputs.mean(axis=0))
     assert np.allclose(best.stats.target_std,
                        np.maximum(targets.std(axis=0), dyn.STD_FLOOR))
@@ -477,8 +487,7 @@ def test_evaluate_rmse_perfect_predictor():
     for layer in model.members[0].layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    for s in samples:
-        s.target = np.zeros(3)  # model predicts zero increment exactly
+    samples.targets[:] = 0.0  # model predicts zero increment exactly
     rep = dyn.evaluate_rmse(model, samples)
     assert rep.rmse_total == 0.0 and rep.rmse_vx == 0.0
 
@@ -524,8 +533,8 @@ def test_normalization_consistency():
     model = _stub_model(h=2, b=1, stats=stats, seed=11)
     raw_window = dyn.HistoryWindow(inputs[0, :6].reshape(2, 3)[:, :3],
                                    inputs[0, [3, 4, 8, 9]].reshape(2, 2))
-    means, varis = model.delta_batch(*_one(raw_window))
-    feats = (raw_window.flat() - stats.input_mean) / stats.input_std
+    means, varis = model.delta_batch(_one(raw_window))
+    feats = (raw_window.pairs.reshape(-1) - stats.input_mean) / stats.input_std
     out, _ = nn.mlp_forward(model.members[0], feats[None])
     mu_n, var_n = model._split_head(out)
     assert np.all(np.abs(means[0] - (mu_n * stats.target_std
@@ -536,11 +545,11 @@ def test_normalization_consistency():
 def test_member_permutation_only_permutes_output():
     model = _stub_model(h=2, b=3, seed=12)
     w = dyn.HistoryWindow(np.ones((2, 3)) * 0.2, np.ones((2, 2)) * 0.1)
-    base, _ = model.delta_batch(*_one(w))
+    base, _ = model.delta_batch(_one(w))
     permuted = dyn.PennModel(members=[model.members[i] for i in (2, 0, 1)],
                              stats=model.stats, h=model.h, mode=model.mode,
                              var_min=model.var_min, var_max=model.var_max)
-    out, _ = permuted.delta_batch(*_one(w))
+    out, _ = permuted.delta_batch(_one(w))
     for i, j in enumerate((2, 0, 1)):
         assert np.array_equal(out[i], base[j])
 
@@ -554,10 +563,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     loaded = dyn.load_checkpoint(path)
     assert loaded.h == model.h and loaded.b == model.b
     assert loaded.mode == model.mode
-    states = np.stack([s.window.states for s in samples])
-    actions = np.stack([s.window.actions for s in samples])
-    for a, b in zip(model.delta_batch(states, actions),
-                    loaded.delta_batch(states, actions)):
+    for a, b in zip(model.delta_batch(samples.pairs),
+                    loaded.delta_batch(samples.pairs)):
         assert np.array_equal(a, b)
 
 
@@ -653,7 +660,7 @@ def test_checkpoint_deterministic_mode_guard(tmp_path):
     loaded = dyn.load_checkpoint(path)
     assert loaded.mode == "deterministic"
     w = dyn.HistoryWindow(np.zeros((2, 3)), np.zeros((2, 2)))
-    _, varis = loaded.delta_batch(*_one(w))
+    _, varis = loaded.delta_batch(_one(w))
     assert np.all(varis == loaded.var_min)
     with pytest.raises(ConfigError):
         commands.cmd_deploy(config.ExperimentConfig(), tmp_path / "deploy",
