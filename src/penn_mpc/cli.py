@@ -18,6 +18,7 @@ from pathlib import Path
 from . import commands
 from .config import load_config
 from .errors import ConfigError, PennMpcError
+from .fileio import atomic_open
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +110,8 @@ def main(argv=None) -> int:
     except (PennMpcError, OSError) as e:
         try:
             out.mkdir(parents=True, exist_ok=True)
-            (out / "FAILED").write_text(f"{e}\n")
+            with atomic_open(out / "FAILED") as f:
+                f.write(f"{e}\n")
         except OSError:
             pass  # no usable output directory to flag
         print(f"error: {e}", file=sys.stderr)

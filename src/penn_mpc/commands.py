@@ -435,6 +435,7 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
     if mode == "safe" and cfg.costs.jrd_threshold == "auto" and not data_dir:
         raise ConfigError("costs.jrd_threshold=auto needs the training dataset "
                           "(io.data or --data)")
+    mppi_cfg = cfg.mppi_config(cfg.seed)
     model = load_checkpoint(checkpoint_path)
     if mode == "safe" and (model.mode != "probabilistic" or model.b < 2):
         raise ConfigError("safe deployment needs a probabilistic ensemble "
@@ -454,12 +455,11 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
             threshold = float(raw)
     spec = CostSpec(mode="deploy_safe" if mode == "safe" else "deploy_direct",
                     w_track=cfg.costs.w_track, w_speed=cfg.costs.w_speed,
-                    w_ctrl=cfg.costs.w_ctrl,
-                    w_unc=cfg.costs.w_unc if mode == "safe" else 0.0,
+                    w_ctrl=cfg.costs.w_ctrl, w_unc=cfg.costs.w_unc,
                     jrd_threshold=threshold, penalty_big=cfg.costs.penalty_big,
                     v_target=cfg.costs.v_target, track=track)
-    result = _run_closed_loop(model, params, track, cfg.mppi_config(cfg.seed),
-                              spec, n_steps=cfg.deploy.max_steps, policy="mpc",
+    result = _run_closed_loop(model, params, track, mppi_cfg, spec,
+                              n_steps=cfg.deploy.max_steps, policy="mpc",
                               seed=cfg.seed, v_start=cfg.deploy.v_start,
                               tag=f"deploy_{mode}",
                               envelope=2.5 * track.half_width, lap_target=laps)

@@ -2,8 +2,8 @@
 deterministic dumps.
 
 Config files and CLI overrides use ``section.key = value`` lines (keys are
-case-insensitive, ``#`` starts a comment). Every key has a default; unknown
-keys are rejected.
+case-insensitive, ``#`` starts a comment, so string values hold no ``#`` or
+line break). Every key has a default; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -208,9 +208,16 @@ def set_key(cfg: ExperimentConfig, dotted: str, value: str) -> None:
         raise ConfigError(f"unknown config key {dotted!r}")
     current = getattr(section, field_name)
     try:
-        setattr(section, field_name, _convert(value, current))
+        converted = _convert(value, current)
     except ValueError as e:
         raise ConfigError(f"bad value for {dotted!r}: {e}") from e
+    # config.txt is parsed line by line with "#" comments, so a string
+    # holding either would not read back as itself
+    if isinstance(converted, str) and ("#" in converted
+                                       or len(converted.splitlines()) > 1):
+        raise ConfigError(f"{dotted!r} may hold no '#' or line break, "
+                          f"got {converted!r}")
+    setattr(section, field_name, converted)
 
 
 def parse_config_text(text: str, cfg: ExperimentConfig | None = None,

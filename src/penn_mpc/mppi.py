@@ -52,6 +52,8 @@ class MppiConfig:
             raise ConfigError(f"temperature must be positive, got {self.lam}")
         if self.smoothing not in ("none", "moving_average"):
             raise ConfigError(f"unknown smoothing {self.smoothing!r}")
+        if len(self.sigma) != 2:
+            raise ConfigError(f"sigma needs one std per action, got {self.sigma!r}")
 
 
 @dataclass
@@ -232,6 +234,7 @@ def mppi_weights(costs: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _moving_average(seq: np.ndarray, window: int) -> np.ndarray:
+    window = min(window, seq.shape[0])  # a longer kernel adds rows
     if window <= 1:
         return seq
     kernel = np.ones(window)

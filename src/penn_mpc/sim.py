@@ -218,6 +218,8 @@ class TrackSpec:
     def segments(self) -> list[tuple]:
         if self.n_moderate % 2 or self.n_sharp % 2:
             raise GeometryError("curve counts must be even for the symmetric layout")
+        if self.n_moderate < 2 or not self.straights:
+            raise GeometryError("a half needs a moderate curve and a straight")
         n_sharp_half = self.n_sharp // 2
         n_mod_half = self.n_moderate // 2
         sharp = math.radians(self.sharp_angle_deg)

@@ -102,11 +102,11 @@ def test_c2a_jrd_oracle_agreement():
     worst = 0.0
     for _ in range(100):
         b = int(rng.integers(2, 6))
-        comps = [jrd.GaussianComponent(np.array([rng.uniform(-3, 3)]),
-                                       np.array([rng.uniform(0.1, 4.0)]))
-                 for _ in range(b)]
-        m = jrd.MixtureSummary(comps)
-        worst = max(worst, abs(jrd.jrd(m) - jrd.jrd_oracle_1d(m)))
+        draws = np.array([(rng.uniform(-3, 3), rng.uniform(0.1, 4.0))
+                          for _ in range(b)])
+        means, varis = draws[:, 0], draws[:, 1]
+        closed = jrd.jrd_batch(means[None, :, None], varis[None, :, None])[0]
+        worst = max(worst, abs(closed - jrd.jrd_oracle_1d(means, varis)))
     _report("2a", worst < 1e-6, f"max |closed - oracle| = {worst:.2e}")
 
 
@@ -116,12 +116,9 @@ def test_c2b_jrd_fixture_literal_value():
     integration oracle) agree with each other to 3e-16 but give 0.3798855,
     so this required constant cannot be met by any implementation that
     passes test_c2a; it fails by design to document the discrepancy."""
-    m = jrd.MixtureSummary([
-        jrd.GaussianComponent(np.array([0.0]), np.array([1.0])),
-        jrd.GaussianComponent(np.array([2.0]), np.array([1.0])),
-    ])
-    closed = jrd.jrd(m)
-    oracle = jrd.jrd_oracle_1d(m)
+    means, varis = np.array([0.0, 2.0]), np.array([1.0, 1.0])
+    closed = jrd.jrd_batch(means[None, :, None], varis[None, :, None])[0]
+    oracle = jrd.jrd_oracle_1d(means, varis)
     assert abs(closed - oracle) < 1e-9  # the two routes agree
     ok = abs(closed - 0.3801441) < 1e-6
     _report("2b", ok,

@@ -5,6 +5,7 @@ import filecmp
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +48,54 @@ def test_config_defaults_resolve():
     assert cfg.costs.jrd_threshold == "auto"
 
 
-def test_config_round_trip():
-    cfg = tiny_cfg("seed=11", "mppi.lambda=0.5", "track.straights=30,15,25")
-    text = config.dump_config(cfg)
-    again = config.parse_config_text(text)
-    assert config.dump_config(again) == text
-    assert again.mppi.lam == 0.5
-    assert again.track.straights == [30.0, 15.0, 25.0]
-    assert again.seed == 11
+def _defaults():
+    """Every config key with its default value."""
+    cfg = config.ExperimentConfig()
+    keys = {"seed": cfg.seed}
+    for name, section in config._sections(cfg).items():
+        for f in fields(section):
+            keys[f"{name}.{f.name}"] = getattr(section, f.name)
+    return keys
+
+
+def _values_like(default):
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2**63, 2**63)
+    if isinstance(default, float):
+        return st.floats()
+    if isinstance(default, list):
+        return st.lists(_values_like(default[0]), max_size=4)
+    return st.text(max_size=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_config_round_trip(data):
+    """Any value of a key's type is either read back exactly from the dump,
+    or, for a string holding '#' or a line break, rejected when set."""
+    cfg = config.ExperimentConfig()
+    for key, default in _defaults().items():
+        text = config._format_value(data.draw(_values_like(default), label=key))
+        clean = text.strip()
+        if isinstance(default, str) and ("#" in clean or
+                                         len(clean.splitlines()) > 1):
+            with pytest.raises(ConfigError):
+                config.set_key(cfg, key, text)
+            continue
+        config.set_key(cfg, key, text)
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        assert config._format_value(value) == clean
+    dumped = config.dump_config(cfg)
+    assert config.dump_config(config.parse_config_text(dumped)) == dumped
+
+
+def test_config_rejects_values_that_do_not_read_back():
+    for item in ("io.out=runs/a#b", "collect.mix=zigzag:1\nslide:1"):
+        with pytest.raises(ConfigError):
+            config.load_config(None, [item])
 
 
 def test_config_unknown_keys_rejected():
@@ -67,9 +108,10 @@ def test_config_unknown_keys_rejected():
 
 
 def test_config_case_insensitive_keys():
-    cfg = config.load_config(None, ["model.H=6", "mppi.K=32"])
+    cfg = config.load_config(None, ["model.H=6", "mppi.K=32", "mppi.Lambda=0.5"])
     assert cfg.model.h == 6
     assert cfg.mppi.k == 32
+    assert cfg.mppi.lam == 0.5
 
 
 def test_config_file_loading(tmp_path):
@@ -377,6 +419,19 @@ def test_cli_os_error_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_geometry_error_exits_3_with_full_flag(tmp_path, capsys):
+    """A track that cannot be built is a runtime failure; the FAILED flag
+    holds the whole message and is written without a temporary left over."""
+    out = tmp_path / "run"
+    code = cli.main(["collect", "--minutes", "0.05", "--out", str(out),
+                     "track.straights="])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (out / "FAILED").read_text() == err[len("error: "):]
+    assert not (out / ".FAILED.tmp").exists()
+
+
 # Each call fails a check that needs no file: the named checkpoint and
 # dataset paths do not exist and must not be opened.
 _CONFIG_ERRORS = {
@@ -400,6 +455,9 @@ _CONFIG_ERRORS = {
     "deploy_no_checkpoint": lambda out: commands.cmd_deploy(tiny_cfg(), out),
     "deploy_auto_threshold_no_data": lambda out: commands.cmd_deploy(
         tiny_cfg(), out, checkpoint_path="no-ckpt.json", mode="safe"),
+    "deploy_sigma": lambda out: commands.cmd_deploy(
+        tiny_cfg("mppi.sigma=0.3"), out, checkpoint_path="no-ckpt.json",
+        mode="direct"),
 }
 
 

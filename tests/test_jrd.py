@@ -1,7 +1,9 @@
 """Quadratic Renyi entropy and the Jensen-Renyi divergence.
 
-Expected values are frozen from the numeric-integration oracle, which is an
-independent route to the same quantities.
+``jrd_batch`` is the package's one closed form. It is checked against the
+numeric-integration oracle ``jrd_oracle_1d``, an independent route to the
+same quantity, and by properties that need no second closed form. Expected
+values are frozen from the oracle.
 """
 
 import numpy as np
@@ -13,170 +15,150 @@ from penn_mpc import jrd
 from penn_mpc.errors import ShapeError
 
 
-def comp(mean, var):
-    return jrd.GaussianComponent(np.atleast_1d(np.asarray(mean, dtype=float)),
-                                 np.atleast_1d(np.asarray(var, dtype=float)))
+def jrd1(means, variances):
+    """``jrd_batch`` of one mixture: (B,) or (B, d) arrays, as (1, B, d)."""
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if means.ndim == 1:
+        means, variances = means[:, None], variances[:, None]
+    return float(jrd.jrd_batch(means[None], variances[None])[0])
 
 
-STD_NORMAL = comp(0.0, 1.0)
-SHIFTED = comp(2.0, 1.0)
-PAIR = jrd.MixtureSummary([STD_NORMAL, SHIFTED])
-
-# oracle-verified constants for the (0,2)/unit-variance pair
-CROSS_SAME = 0.2820947917738782        # 1/sqrt(4 pi)
-CROSS_SHIFTED = 0.1037768743551487     # 1/sqrt(4 pi) * e^-1
-H2_STD_NORMAL = 1.2655121234846454     # 0.5 ln(4 pi)
+# the (0, 2) / unit-variance pair
+PAIR = (np.array([0.0, 2.0]), np.array([1.0, 1.0]))
 JRD_PAIR = 0.3798854930417224          # H2(mix) - mean H2, via integration oracle
 
 
-def test_cross_term_identical_components():
-    assert jrd.gaussian_cross_term(STD_NORMAL, STD_NORMAL) == \
-        pytest.approx(CROSS_SAME, abs=1e-12)
-
-
 def test_cross_term_separated_means():
-    # exponent is -(2-0)^2 / (2 * (1+1)) = -1
-    assert jrd.gaussian_cross_term(STD_NORMAL, SHIFTED) == \
-        pytest.approx(CROSS_SHIFTED, abs=1e-12)
-
-
-def test_cross_term_symmetric():
+    """Two members with equal variances v: each cross term is the self term
+    times exp(-sum (mu_a - mu_b)^2 / (4 v)), so the divergence is
+    ln 2 - ln(1 + that factor), in any dimension."""
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a = comp(rng.normal(size=3), rng.uniform(0.1, 4.0, 3))
-        b = comp(rng.normal(size=3), rng.uniform(0.1, 4.0, 3))
-        assert jrd.gaussian_cross_term(a, b) == jrd.gaussian_cross_term(b, a)
-
-
-def test_cross_term_rejects_nonpositive_cov():
-    with pytest.raises(ValueError):
-        comp(0.0, 0.0)
-    with pytest.raises(ValueError):
-        comp(0.0, -1.0)
-
-
-def test_entropy_standard_normal():
-    assert jrd.renyi2_entropy_gaussian(STD_NORMAL) == \
-        pytest.approx(H2_STD_NORMAL, abs=1e-12)
-
-
-def test_entropy_zero_crossing_variance():
-    c = comp(3.0, 1.0 / (4.0 * np.pi))
-    assert jrd.renyi2_entropy_gaussian(c) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_entropy_additive_over_dims():
-    c = comp([0.0, 0.0], [1.0, 1.0])
-    assert jrd.renyi2_entropy_gaussian(c) == pytest.approx(2 * H2_STD_NORMAL,
-                                                           abs=1e-12)
-
-
-def test_mixture_entropy_single_component():
-    m = jrd.MixtureSummary([STD_NORMAL])
-    assert jrd.renyi2_entropy_mixture(m) == \
-        pytest.approx(jrd.renyi2_entropy_gaussian(STD_NORMAL), abs=1e-12)
-
-
-def test_mixture_entropy_collapses_for_identical_components():
-    m = jrd.MixtureSummary([STD_NORMAL, comp(0.0, 1.0)])
-    assert jrd.renyi2_entropy_mixture(m) == \
-        pytest.approx(jrd.renyi2_entropy_gaussian(STD_NORMAL), abs=1e-12)
-
-
-def test_mixture_entropy_pair():
-    expect = -np.log(0.25 * (2 * CROSS_SAME + 2 * CROSS_SHIFTED))
-    assert jrd.renyi2_entropy_mixture(PAIR) == pytest.approx(expect, abs=1e-12)
+        d = int(rng.integers(1, 6))
+        var = rng.uniform(0.1, 4.0, d)
+        a, b = rng.normal(size=d), rng.normal(size=d)
+        factor = np.exp(-np.sum((a - b) ** 2 / (4.0 * var)))
+        assert jrd1([a, b], [var, var]) == \
+            pytest.approx(np.log(2.0) - np.log1p(factor), abs=1e-12)
 
 
 def test_jrd_zero_at_consensus():
-    m = jrd.MixtureSummary([comp([1.0, -2.0], [0.5, 3.0]) for _ in range(4)])
-    assert abs(jrd.jrd(m)) < 1e-12
+    means = np.tile([1.0, -2.0], (4, 1))
+    varis = np.tile([0.5, 3.0], (4, 1))
+    assert abs(jrd1(means, varis)) < 1e-12
 
 
 def test_jrd_single_component_convention():
-    assert jrd.jrd(jrd.MixtureSummary([STD_NORMAL])) == 0.0
+    assert jrd1([0.0], [1.0]) == 0.0
 
 
 def test_jrd_pair_fixture():
-    assert jrd.jrd(PAIR) == pytest.approx(JRD_PAIR, abs=1e-9)
+    assert jrd1(*PAIR) == pytest.approx(JRD_PAIR, abs=1e-9)
 
 
-def test_jrd_permutation_invariant():
-    rng = np.random.default_rng(3)
-    comps = [comp(rng.normal(size=2), rng.uniform(0.2, 2.0, 2)) for _ in range(4)]
-    base = jrd.jrd(jrd.MixtureSummary(comps))
-    for perm in ([3, 1, 0, 2], [2, 3, 1, 0]):
-        assert jrd.jrd(jrd.MixtureSummary([comps[i] for i in perm])) == \
-            pytest.approx(base, abs=1e-13)
+def _mixtures(seed, n, b, d):
+    """(n, b, d) means and variances spanning several orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=rng.uniform(0.1, 3.0), size=(n, b, d))
+    varis = np.exp(rng.uniform(-4.0, 2.0, size=(n, b, d)))
+    return rng, means, varis
 
 
-def test_jrd_translation_invariant():
-    rng = np.random.default_rng(4)
-    comps = [comp(rng.normal(size=3), rng.uniform(0.2, 2.0, 3)) for _ in range(3)]
-    base = jrd.jrd(jrd.MixtureSummary(comps))
-    shift = np.array([10.0, -4.0, 0.5])
-    shifted = [comp(c.mean + shift, c.diag_cov) for c in comps]
-    assert jrd.jrd(jrd.MixtureSummary(shifted)) == pytest.approx(base, abs=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       b=st.integers(2, 5), d=st.integers(2, 5))
+def test_entropy_additive_over_dims(seed, n, b, d):
+    """Order-2 entropies add over the dims of a diagonal Gaussian, so dims
+    on which every member has the same mean and variance add the same
+    amount to the mixture and the member entropies. An (N, B, d) mixture
+    whose members agree on dims 1..d-1 therefore has the divergence of its
+    dim-0 marginal, which the oracle computes independently."""
+    rng = np.random.default_rng(seed)
+    means = np.repeat(rng.normal(scale=10.0, size=(n, 1, d)), b, axis=1)
+    varis = np.repeat(np.exp(rng.uniform(-6.0, 3.0, size=(n, 1, d))), b, axis=1)
+    means[:, :, 0] = rng.uniform(-3.0, 3.0, size=(n, b))
+    varis[:, :, 0] = rng.uniform(0.1, 4.0, size=(n, b))
+    got = jrd.jrd_batch(means, varis)
+    marginal = jrd.jrd_batch(means[:, :, :1], varis[:, :, :1])
+    assert np.allclose(got, marginal, rtol=0.0, atol=1e-12)
+    for i in range(n):
+        oracle = jrd.jrd_oracle_1d(means[i, :, 0], varis[i, :, 0])
+        assert abs(got[i] - oracle) < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       b=st.integers(2, 6), d=st.integers(1, 5))
+def test_jrd_affine_invariant(seed, n, b, d):
+    """A per-coordinate map x_k -> a_k x_k + c_k (a_k != 0) shifts every
+    entropy term by the same sum of ln |a_k|, so the divergence is
+    unchanged."""
+    rng, means, varis = _mixtures(seed, n, b, d)
+    scale = rng.choice([-1.0, 1.0], size=d) * np.exp(rng.uniform(-3.0, 3.0, d))
+    shift = rng.uniform(-50.0, 50.0, d)
+    base = jrd.jrd_batch(means, varis)
+    moved = jrd.jrd_batch(means * scale + shift, varis * scale**2)
+    assert np.allclose(moved, base, rtol=0.0, atol=1e-11)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       b=st.integers(2, 6), d=st.integers(1, 5))
+def test_jrd_permutation_invariant(seed, n, b, d):
+    """The members of an equal-weight mixture have no order."""
+    rng, means, varis = _mixtures(seed, n, b, d)
+    perm = rng.permutation(b)
+    base = jrd.jrd_batch(means, varis)
+    assert np.allclose(jrd.jrd_batch(means[:, perm], varis[:, perm]), base,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_jrd_equal_covariance_positive_and_monotone():
     # shared covariance, distinct means: positive; grows as one mean recedes
-    cov = [0.7]
     prev = 0.0
     for d in (0.5, 1.0, 2.0, 4.0):
-        m = jrd.MixtureSummary([comp(0.0, cov), comp(d, cov)])
-        val = jrd.jrd(m)
+        val = jrd1([0.0, d], [0.7, 0.7])
         assert val > prev
         prev = val
 
 
 def test_jrd_can_go_negative_with_heterogeneous_variances():
     # documented behavior, not a bug: strongly mismatched variances
-    m = jrd.MixtureSummary([comp(0.0, 0.01), comp(0.0, 100.0)])
-    val = jrd.jrd(m)
+    mixture = ([0.0, 0.0], [0.01, 100.0])
+    val = jrd1(*mixture)
     assert val < -0.9
-    assert jrd.jrd_oracle_1d(m) == pytest.approx(val, abs=1e-6)
+    assert jrd.jrd_oracle_1d(*mixture) == pytest.approx(val, abs=1e-6)
 
 
 def test_oracle_agrees_on_fixture():
-    assert jrd.jrd_oracle_1d(PAIR) == pytest.approx(JRD_PAIR, abs=1e-9)
+    assert jrd.jrd_oracle_1d(*PAIR) == pytest.approx(JRD_PAIR, abs=1e-9)
 
 
 def test_oracle_identical_components_near_zero():
-    m = jrd.MixtureSummary([comp(0.3, 0.8), comp(0.3, 0.8)])
-    assert abs(jrd.jrd_oracle_1d(m)) < 1e-9
+    assert abs(jrd.jrd_oracle_1d([0.3, 0.3], [0.8, 0.8])) < 1e-9
 
 
 def test_oracle_grid_convergence():
-    coarse = jrd.jrd_oracle_1d(PAIR, step=2e-3)
-    fine = jrd.jrd_oracle_1d(PAIR, step=1e-3)
+    coarse = jrd.jrd_oracle_1d(*PAIR, step=2e-3)
+    fine = jrd.jrd_oracle_1d(*PAIR, step=1e-3)
     assert abs(coarse - fine) < 1e-8
 
 
 def test_oracle_rejects_multidim():
-    m = jrd.MixtureSummary([comp([0.0, 0.0], [1.0, 1.0])])
     with pytest.raises(ShapeError):
-        jrd.jrd_oracle_1d(m)
+        jrd.jrd_oracle_1d(np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        jrd.jrd_oracle_1d([0.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_closed_form_matches_oracle_randomized():
     rng = np.random.default_rng(12345)
     for _ in range(100):
         b = int(rng.integers(2, 6))
-        comps = [comp(rng.uniform(-3, 3), rng.uniform(0.1, 4.0)) for _ in range(b)]
-        m = jrd.MixtureSummary(comps)
-        assert abs(jrd.jrd(m) - jrd.jrd_oracle_1d(m)) < 1e-6
-
-
-def test_batch_matches_scalar_path():
-    rng = np.random.default_rng(6)
-    n, b, d = 40, 5, 3
-    means = rng.normal(size=(n, b, d))
-    varis = rng.uniform(0.05, 3.0, size=(n, b, d))
-    batch = jrd.jrd_batch(means, varis)
-    for i in range(n):
-        m = jrd.MixtureSummary([comp(means[i, j], varis[i, j]) for j in range(b)])
-        assert batch[i] == pytest.approx(jrd.jrd(m), abs=1e-10)
+        means = rng.uniform(-3, 3, b)
+        varis = rng.uniform(0.1, 4.0, b)
+        assert abs(jrd1(means, varis) - jrd.jrd_oracle_1d(means, varis)) < 1e-6
 
 
 def test_batch_single_member_is_zero():
@@ -185,8 +167,11 @@ def test_batch_single_member_is_zero():
 
 
 def test_mixture_requires_shared_dim():
+    """Means and variances must be matching (N, B, d) arrays."""
     with pytest.raises(ShapeError):
-        jrd.MixtureSummary([STD_NORMAL, comp([0.0, 1.0], [1.0, 1.0])])
+        jrd.jrd_batch(np.zeros((1, 2, 1)), np.ones((1, 2, 2)))
+    with pytest.raises(ShapeError):
+        jrd.jrd_batch(np.zeros((2, 1)), np.ones((2, 1)))
 
 
 def _reference_jrd_batch(means, variances):

@@ -100,6 +100,9 @@ def test_config_validation():
         mppi.MppiConfig(horizon=0)
     with pytest.raises(ConfigError):
         mppi.MppiConfig(lam=0.0)
+    for sigma in ((0.3,), (0.3, 0.3, 0.3)):
+        with pytest.raises(ConfigError):
+            mppi.MppiConfig(sigma=sigma)
 
 
 def test_rollout_zero_delta_constant_trajectory():
@@ -382,6 +385,25 @@ def test_mpc_step_deterministic():
     assert np.array_equal(a1, a2)
     assert np.array_equal(s1.nominal, s2.nominal)
     assert d1 == d2
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_mpc_step_horizon_shorter_than_smoothing_window(horizon):
+    """The moving average narrows to the horizon; at T=1 it is a no-op."""
+    model = StubModel(np.zeros((2, 3)))
+    spec = quadratic_spec([0.2, 0.2])
+    steps = {}
+    for smoothing in ("moving_average", "none"):
+        cfg = mppi.MppiConfig(k=32, horizon=horizon, sigma=(0.2, 0.2), seed=12,
+                              smoothing=smoothing, smoothing_window=3)
+        action, state, _ = mppi.mpc_step(mppi.MpcState(cfg=cfg, spec=spec),
+                                         model, zero_window())
+        assert state.nominal.shape == (horizon, 2)
+        assert np.all(np.abs(action) <= 1.0)
+        steps[smoothing] = (action, state.nominal)
+    if horizon == 1:
+        assert np.array_equal(steps["moving_average"][0], steps["none"][0])
+        assert np.array_equal(steps["moving_average"][1], steps["none"][1])
 
 
 def test_mpc_step_converges_on_quadratic_toy():

@@ -155,6 +155,9 @@ def test_non_closing_spec_rejected():
         sim.build_track_from_segments(
             [("straight", 50.0), ("arc", np.pi, 10.0)], 4.0)
     assert "gap" in str(err.value)
+    for spec in (sim.TrackSpec(straights=()), sim.TrackSpec(n_moderate=0)):
+        with pytest.raises(GeometryError):
+            spec.segments()
 
 
 def frame(pose, track):
