@@ -27,8 +27,8 @@ from .errors import ConfigError, DataError
 from .fileio import atomic_open
 from .jrd import jrd_batch
 from .mppi import CostSpec, MpcState, MppiConfig, mpc_step
-from .sim import (EpisodeLog, MANEUVER_KINDS, PlantState, build_track,
-                  plant_step, save_track_csv, scripted_maneuver,
+from .sim import (ENVELOPE_FACTOR, EpisodeLog, MANEUVER_KINDS, PlantState,
+                  build_track, plant_step, save_track_csv, scripted_maneuver,
                   track_frame_batch)
 
 log = logging.getLogger(__name__)
@@ -101,10 +101,10 @@ def cmd_collect(cfg: ExperimentConfig, out_dir) -> Path:
         raise ConfigError(
             f"collect.rate {cfg.collect.rate} does not match plant.dt {cfg.plant.dt}")
     schedule = parse_mix(cfg.collect.mix)
+    params = cfg.plant_params()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     track = build_track(cfg.track_spec())
-    params = cfg.plant_params()
     target_rows = int(round(cfg.collect.minutes * 60.0 * cfg.collect.rate))
     ep_rows = max(2, int(round(cfg.collect.episode_seconds * cfg.collect.rate)))
     episodes = []
@@ -436,6 +436,7 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
         raise ConfigError("costs.jrd_threshold=auto needs the training dataset "
                           "(io.data or --data)")
     mppi_cfg = cfg.mppi_config(cfg.seed)
+    params = cfg.plant_params()
     model = load_checkpoint(checkpoint_path)
     if mode == "safe" and (model.mode != "probabilistic" or model.b < 2):
         raise ConfigError("safe deployment needs a probabilistic ensemble "
@@ -444,7 +445,6 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
     out.mkdir(parents=True, exist_ok=True)
     laps = laps if laps is not None else cfg.deploy.laps
     track = build_track(cfg.track_spec())
-    params = cfg.plant_params()
 
     threshold = math.inf
     if mode == "safe":
@@ -462,7 +462,8 @@ def cmd_deploy(cfg: ExperimentConfig, out_dir, checkpoint_path=None,
                               n_steps=cfg.deploy.max_steps, policy="mpc",
                               seed=cfg.seed, v_start=cfg.deploy.v_start,
                               tag=f"deploy_{mode}",
-                              envelope=2.5 * track.half_width, lap_target=laps)
+                              envelope=ENVELOPE_FACTOR * track.half_width,
+                              lap_target=laps)
 
     with atomic_open(out / "trajectory.csv", newline="") as f:
         writer = csv.writer(f)
@@ -560,10 +561,10 @@ def cmd_explore(cfg: ExperimentConfig, out_dir, policy: str | None = None) -> di
     policy = policy or cfg.explore.policy
     if policy not in ("explore", "random"):
         raise ConfigError(f"explore policy must be explore or random, got {policy!r}")
+    params = cfg.plant_params()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     track = build_track(cfg.track_spec())
-    params = cfg.plant_params()
     dt = params.dt
 
     # Fixed held-out evaluation set covering all three maneuver regimes.

@@ -9,43 +9,12 @@ line break). Every key has a default; unknown keys are rejected.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .mppi import MppiConfig
 from .sim import PlantParams, TrackSpec
-
-
-@dataclass
-class PlantSection:
-    mass: float = 200.0
-    yaw_inertia: float = 80.0
-    lf: float = 0.7
-    lr: float = 0.6
-    mu: float = 1.0
-    mu_rear_scale: float = 0.85
-    b_stiff: float = 10.0
-    c_shape: float = 1.9
-    # Higher linear drag than the bare plant default so full throttle tops out
-    # near 20 m/s, keeping exploration inside a kart-realistic envelope.
-    drag: float = 40.0
-    max_steer: float = 0.45
-    max_accel: float = 4.0
-    dt: float = 0.1
-    steer_tau: float = 0.12
-    accel_tau: float = 0.12
-
-
-@dataclass
-class TrackSection:
-    n_moderate: int = 2
-    n_sharp: int = 4
-    sharp_radius: float = 8.0
-    moderate_radius: float = 25.0
-    sharp_angle_deg: float = 75.0
-    straights: list = field(default_factory=lambda: [40.0, 20.0, 30.0])
-    half_width: float = 4.0
 
 
 @dataclass
@@ -124,8 +93,10 @@ class IoSection:
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    plant: PlantSection = field(default_factory=PlantSection)
-    track: TrackSection = field(default_factory=TrackSection)
+    # Higher linear drag than the bare plant default so full throttle tops out
+    # near 20 m/s, keeping exploration inside a kart-realistic envelope.
+    plant: PlantParams = field(default_factory=lambda: PlantParams(drag=40.0))
+    track: TrackSpec = field(default_factory=TrackSpec)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
     mppi: MppiSection = field(default_factory=MppiSection)
@@ -138,21 +109,12 @@ class ExperimentConfig:
     # -- derived builders ---------------------------------------------------
 
     def plant_params(self) -> PlantParams:
-        p = self.plant
-        return PlantParams(mass=p.mass, yaw_inertia=p.yaw_inertia, lf=p.lf,
-                           lr=p.lr, b_stiff=p.b_stiff, c_shape=p.c_shape,
-                           mu=p.mu, mu_rear_scale=p.mu_rear_scale, drag=p.drag,
-                           max_steer=p.max_steer, max_accel=p.max_accel,
-                           dt=p.dt, steer_tau=p.steer_tau,
-                           accel_tau=p.accel_tau)
+        """A copy of the plant section. set_key assigns fields one at a
+        time, so PlantParams checks the final values here."""
+        return replace(self.plant)
 
     def track_spec(self) -> TrackSpec:
-        t = self.track
-        return TrackSpec(n_moderate=t.n_moderate, n_sharp=t.n_sharp,
-                         sharp_radius=t.sharp_radius,
-                         moderate_radius=t.moderate_radius,
-                         sharp_angle_deg=t.sharp_angle_deg,
-                         straights=tuple(t.straights), half_width=t.half_width)
+        return replace(self.track)
 
     def mppi_config(self, seed: int) -> MppiConfig:
         m = self.mppi
@@ -181,10 +143,10 @@ def _convert(value: str, current):
         return int(value)
     if isinstance(current, float):
         return float(value)
-    if isinstance(current, list):
+    if isinstance(current, (list, tuple)):
         elem = current[0] if current else 0.0
         items = [v for v in value.split(",") if v.strip()]
-        return [type(elem)(_convert(v, elem)) for v in items]
+        return type(current)(type(elem)(_convert(v, elem)) for v in items)
     return value
 
 
@@ -251,7 +213,7 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return ",".join(_format_value(x) for x in v)
     if isinstance(v, float):
         return repr(v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DEFAULT_STATE_BOUNDS
-from .errors import DataError, GeometryError
+from .errors import ConfigError, DataError, GeometryError
 from .fileio import atomic_open
 
 log = logging.getLogger(__name__)
@@ -55,6 +55,13 @@ class PlantState:
         return np.array([self.x, self.y, self.yaw])
 
 
+# Plant constants no configuration varies: the speed floor of the slip
+# angles, the RK4 substeps per control period, and gravity.
+V_EPS = 0.5
+N_SUBSTEPS = 10
+GRAVITY = 9.81
+
+
 @dataclass
 class PlantParams:
     """Kart-scale defaults; every field is config-overridable."""
@@ -75,9 +82,13 @@ class PlantParams:
     dt: float = 0.1
     steer_tau: float = 0.12
     accel_tau: float = 0.12
-    v_eps: float = 0.5
-    n_substeps: int = 10
-    gravity: float = 9.81
+
+    def __post_init__(self) -> None:
+        for name in ("mass", "yaw_inertia", "dt", "steer_tau", "accel_tau",
+                     "wheelbase"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"plant {name} must be positive, got {value!r}")
 
     @property
     def wheelbase(self) -> float:
@@ -92,11 +103,11 @@ def tire_lateral_force(slip_angle: float, b_stiff: float, c_shape: float,
 
 def _derivs(y, steer_cmd, accel_cmd, p: PlantParams):
     vx, vy, r, _, _, yaw, delta, ax = y
-    vx_safe = vx if vx > p.v_eps else p.v_eps
+    vx_safe = vx if vx > V_EPS else V_EPS
     alpha_f = delta - math.atan2(vy + p.lf * r, vx_safe)
     alpha_r = -math.atan2(vy - p.lr * r, vx_safe)
-    fzf = p.mass * p.gravity * p.lr / p.wheelbase
-    fzr = p.mass * p.gravity * p.lf / p.wheelbase
+    fzf = p.mass * GRAVITY * p.lr / p.wheelbase
+    fzr = p.mass * GRAVITY * p.lf / p.wheelbase
     fyf = tire_lateral_force(alpha_f, p.b_stiff, p.c_shape, p.mu, fzf)
     fyr = tire_lateral_force(alpha_r, p.b_stiff, p.c_shape,
                              p.mu * p.mu_rear_scale, fzr)
@@ -119,15 +130,15 @@ def _derivs(y, steer_cmd, accel_cmd, p: PlantParams):
 def plant_step(s: PlantState, action, p: PlantParams) -> PlantState:
     """Advance one control period (p.dt) under a zero-order-hold action.
 
-    Integrates with RK4 at dt / n_substeps fixed substeps. States outside the
+    Integrates with RK4 at dt / N_SUBSTEPS fixed substeps. States outside the
     sanity bounds are clamped with a logged warning.
     """
     steer, throttle = float(action[0]), float(action[1])
     steer_cmd = min(1.0, max(-1.0, steer)) * p.max_steer
     accel_cmd = min(1.0, max(-1.0, throttle)) * p.max_accel
     y = np.array([s.vx, s.vy, s.r, s.x, s.y, s.yaw, s.steer_act, s.accel_act])
-    h = p.dt / p.n_substeps
-    for _ in range(p.n_substeps):
+    h = p.dt / N_SUBSTEPS
+    for _ in range(N_SUBSTEPS):
         k1 = _derivs(y, steer_cmd, accel_cmd, p)
         k2 = _derivs(y + 0.5 * h * k1, steer_cmd, accel_cmd, p)
         k3 = _derivs(y + 0.5 * h * k2, steer_cmd, accel_cmd, p)
@@ -216,6 +227,8 @@ class TrackSpec:
     half_width: float = 4.0
 
     def segments(self) -> list[tuple]:
+        if not self.half_width > 0:
+            raise GeometryError(f"half_width must be positive, got {self.half_width!r}")
         if self.n_moderate % 2 or self.n_sharp % 2:
             raise GeometryError("curve counts must be even for the symmetric layout")
         if self.n_moderate < 2 or not self.straights:
@@ -445,45 +458,42 @@ def save_track_csv(track: Track, path) -> None:
 # Scripted maneuvers
 
 
-@dataclass
-class ManeuverOptions:
-    """Tuned driving defaults; the slide settings are regression-pinned so the
-    maneuver reliably reaches body slip above 0.15 rad."""
-
-    envelope_factor: float = 2.5
-    zigzag_period: float = 2.0
-    zigzag_amplitude: float = 0.55
-    zigzag_speed: float = 3.0
-    high_speed_target: float = 11.0
-    lat_accel_frac: float = 0.85
-    slide_speed: float = 5.0
-    slide_cycle: float = 5.0
-    slide_burst: float = 1.0
-    slide_steer: float = 1.0
-    speed_gain: float = 0.6
-    lookahead_min: float = 2.5
-    lookahead_gain: float = 0.55
+# Tuned driving defaults; the slide settings are regression-pinned so the
+# maneuver reliably reaches body slip above 0.15 rad. ENVELOPE_FACTOR is the
+# track envelope in half-widths, here and in deployment.
+ENVELOPE_FACTOR = 2.5
+ZIGZAG_PERIOD = 2.0
+ZIGZAG_AMPLITUDE = 0.55
+ZIGZAG_SPEED = 3.0
+HIGH_SPEED_TARGET = 11.0
+LAT_ACCEL_FRAC = 0.85
+SLIDE_SPEED = 5.0
+SLIDE_CYCLE = 5.0
+SLIDE_BURST = 1.0
+SLIDE_STEER = 1.0
+SPEED_GAIN = 0.6
+LOOKAHEAD_MIN = 2.5
+LOOKAHEAD_GAIN = 0.55
 
 
 MANEUVER_KINDS = ("zigzag_low_speed", "high_speed_laps", "slide")
 
 
 def _pure_pursuit(state: PlantState, track: Track, s_here: float,
-                  params: PlantParams, opts: ManeuverOptions) -> float:
-    ld = max(opts.lookahead_min, opts.lookahead_gain * state.vx)
+                  params: PlantParams) -> float:
+    ld = max(LOOKAHEAD_MIN, LOOKAHEAD_GAIN * state.vx)
     target, _, _ = track.point_at(s_here + ld)
     alpha = wrap_angle(math.atan2(target[1] - state.y, target[0] - state.x) - state.yaw)
     angle = math.atan2(2.0 * params.wheelbase * math.sin(alpha), ld)
     return float(np.clip(angle / params.max_steer, -1.0, 1.0))
 
 
-def _speed_throttle(vx: float, v_des: float, opts: ManeuverOptions) -> float:
-    return float(np.clip(opts.speed_gain * (v_des - vx), -1.0, 1.0))
+def _speed_throttle(vx: float, v_des: float) -> float:
+    return float(np.clip(SPEED_GAIN * (v_des - vx), -1.0, 1.0))
 
 
 def scripted_maneuver(kind: str, duration: float, direction: str, seed: int,
-                      track: Track, params: PlantParams,
-                      opts: ManeuverOptions | None = None) -> EpisodeLog:
+                      track: Track, params: PlantParams) -> EpisodeLog:
     """Run one scripted data-collection episode, logging at 1/dt Hz.
 
     zigzag_low_speed: open-loop sinusoidal steering at a low speed setpoint.
@@ -496,16 +506,15 @@ def scripted_maneuver(kind: str, duration: float, direction: str, seed: int,
         raise ValueError(f"unknown maneuver {kind!r}, expected one of {MANEUVER_KINDS}")
     if direction not in ("cw", "ccw"):
         raise ValueError(f"direction must be cw or ccw, got {direction!r}")
-    opts = opts or ManeuverOptions()
     guide = track if direction == "ccw" else track.reversed()
     rng = np.random.default_rng(seed)
     s0 = float(rng.uniform(0.0, guide.total_length))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     burst_sign = 1.0 if rng.uniform() < 0.5 else -1.0
     pos, head, _ = guide.point_at(s0)
-    v0 = {"zigzag_low_speed": opts.zigzag_speed,
-          "high_speed_laps": 0.6 * opts.high_speed_target,
-          "slide": opts.slide_speed}[kind]
+    v0 = {"zigzag_low_speed": ZIGZAG_SPEED,
+          "high_speed_laps": 0.6 * HIGH_SPEED_TARGET,
+          "slide": SLIDE_SPEED}[kind]
     state = PlantState(vx=v0, x=float(pos[0]), y=float(pos[1]), yaw=head)
 
     n_steps = max(1, int(round(duration / params.dt)))
@@ -518,7 +527,7 @@ def scripted_maneuver(kind: str, duration: float, direction: str, seed: int,
     for i in range(n_steps):
         s_arr, e_lat, _, dist = track_frame_batch(
             np.array([[state.x, state.y]]), np.array([state.yaw]), guide)
-        if abs(e_lat[0]) > opts.envelope_factor * guide.half_width:
+        if abs(e_lat[0]) > ENVELOPE_FACTOR * guide.half_width:
             truncated = True
             log.warning("%s episode (seed %d) left the track envelope at step %d",
                         kind, seed, i)
@@ -526,28 +535,25 @@ def scripted_maneuver(kind: str, duration: float, direction: str, seed: int,
         s_here = float(s_arr[0])
         now = i * params.dt
         if kind == "zigzag_low_speed":
-            steer = opts.zigzag_amplitude * math.sin(
-                2.0 * np.pi * now / opts.zigzag_period)
-            throttle = _speed_throttle(state.vx, opts.zigzag_speed, opts)
+            steer = ZIGZAG_AMPLITUDE * math.sin(2.0 * np.pi * now / ZIGZAG_PERIOD)
+            throttle = _speed_throttle(state.vx, ZIGZAG_SPEED)
         elif kind == "high_speed_laps":
-            steer = _pure_pursuit(state, guide, s_here, params, opts)
+            steer = _pure_pursuit(state, guide, s_here, params)
             look = max(state.vx, 1.0) * 1.5
             kmax = guide.max_curvature_ahead(s_here, look)
-            v_cap = math.sqrt(opts.lat_accel_frac * params.mu * params.gravity
+            v_cap = math.sqrt(LAT_ACCEL_FRAC * params.mu * GRAVITY
                               / max(kmax, 1e-6))
-            throttle = _speed_throttle(state.vx, min(opts.high_speed_target, v_cap),
-                                       opts)
+            throttle = _speed_throttle(state.vx, min(HIGH_SPEED_TARGET, v_cap))
         else:  # slide
-            cyc = (now + phase / (2.0 * np.pi) * opts.slide_cycle) % opts.slide_cycle
-            n_cyc = int((now + phase / (2.0 * np.pi) * opts.slide_cycle)
-                        // opts.slide_cycle)
+            cyc = (now + phase / (2.0 * np.pi) * SLIDE_CYCLE) % SLIDE_CYCLE
+            n_cyc = int((now + phase / (2.0 * np.pi) * SLIDE_CYCLE) // SLIDE_CYCLE)
             sign = burst_sign * (1.0 if n_cyc % 2 == 0 else -1.0)
-            if cyc < opts.slide_burst:
-                steer = sign * opts.slide_steer
+            if cyc < SLIDE_BURST:
+                steer = sign * SLIDE_STEER
                 throttle = 1.0
             else:
-                steer = _pure_pursuit(state, guide, s_here, params, opts)
-                throttle = _speed_throttle(state.vx, opts.slide_speed, opts)
+                steer = _pure_pursuit(state, guide, s_here, params)
+                throttle = _speed_throttle(state.vx, SLIDE_SPEED)
         action = np.array([steer, throttle])
         t[i] = now
         states[i] = state.state_triple()

@@ -18,7 +18,6 @@ The heavy directional criteria (4, 6, 7) use 5-seed medians and run the real
 CLI command implementations; expect roughly 35-45 minutes total.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -389,7 +388,7 @@ def test_c7_uncertainty_aware_deployment():
 # -------------------------------------------------------------------- C8
 
 
-def test_c8_simulator_physics():
+def test_c8_simulator_physics(monkeypatch):
     """Straight-line invariance, drag dissipation, mirror symmetry (1e-9),
     and RK4 substep convergence (1e-6 over 10 s)."""
     p = sim.PlantParams()
@@ -418,14 +417,17 @@ def test_c8_simulator_physics():
                            abs(a.vx - b.vx))
     assert worst_mirror < 1e-9
 
-    fine = dataclasses.replace(p, n_substeps=20)
-    a = sim.PlantState(vx=5.0)
-    b = sim.PlantState(vx=5.0)
+    def drive():
+        s = sim.PlantState(vx=5.0)
+        for i in range(100):
+            act = np.array([0.2 * np.sin(2 * np.pi * i * 0.1 / 3.0), 0.2])
+            s = sim.plant_step(s, act, p)
+        return s
+
+    a = drive()
+    monkeypatch.setattr(sim, "N_SUBSTEPS", 20)
+    b = drive()
     worst_rk4 = 0.0
-    for i in range(100):
-        act = np.array([0.2 * np.sin(2 * np.pi * i * 0.1 / 3.0), 0.2])
-        a = sim.plant_step(a, act, p)
-        b = sim.plant_step(b, act, fine)
     for name in ("vx", "vy", "r", "x", "y", "yaw"):
         worst_rk4 = max(worst_rk4, abs(getattr(a, name) - getattr(b, name)))
     assert worst_rk4 < 1e-6

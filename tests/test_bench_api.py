@@ -1,7 +1,8 @@
 """The benchmark in ``perfbench/`` drives the package's public API and
-times it through ``perfbench/spans.py`` shims. This test walks that API on
-a tiny dataset with the shims installed, so renaming or reshaping a name
-the benchmark uses fails here instead of in a benchmark run."""
+times it through ``perfbench/spans.py`` shims. These tests walk that API on
+a tiny dataset with the shims installed, and run one short explore_loop
+from ``perfbench/workloads.py``, so renaming or reshaping a name the
+benchmark uses fails here instead of in a benchmark run."""
 
 import importlib.util
 import sys
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from penn_mpc import commands, data, dynamics, mppi, sim
+from penn_mpc import commands, config, data, dynamics, mppi, sim
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up by name while the module executes
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -33,7 +35,7 @@ def _episode(n, seed):
 
 
 def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
-    spans = _load_spans(monkeypatch)
+    spans = _load(monkeypatch, "spans")
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, *_ in spans._TARGETS]
     episodes = [_episode(30, 1), _episode(25, 2)]
@@ -81,3 +83,20 @@ def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
     mlp_rows = [s.rows for i, s in enumerate(tr.spans)
                 if s.name == "nn.mlp_forward" and tr.inside(i, "mppi.mpc_step")]
     assert mlp_rows == [cfg.k] * (cfg.horizon * model.b)
+
+
+def test_workloads_run_on_the_package(tmp_path, monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    st = workloads.setup_explore(0, tmp_path)
+    assert np.isfinite(st.heldout_rmse) and st.heldout_rmse < st.zero_rmse
+    res = workloads.run_loop(st, 0.0)
+    assert len(res.call_ms) == workloads.MIN_STEPS
+    assert res.gates and all(res.gates.values()), res.gates
+
+    cfg = config.load_config(None, workloads.DEPLOY_OVERRIDES)
+    for seed in (0, 3):
+        assert workloads._mppi_cfg(cfg, seed) == cfg.mppi_config(seed)
+    plant, track = cfg.plant_params(), cfg.track_spec()
+    assert isinstance(plant, sim.PlantParams) and plant == cfg.plant
+    assert isinstance(track, sim.TrackSpec) and track == cfg.track
+    assert plant is not cfg.plant and track is not cfg.track

@@ -65,8 +65,8 @@ def _values_like(default):
         return st.integers(-2**63, 2**63)
     if isinstance(default, float):
         return st.floats()
-    if isinstance(default, list):
-        return st.lists(_values_like(default[0]), max_size=4)
+    if isinstance(default, (list, tuple)):
+        return st.lists(_values_like(default[0]), max_size=4).map(type(default))
     return st.text(max_size=12)
 
 
@@ -422,14 +422,15 @@ def test_cli_os_error_exits_3(tmp_path, capsys):
 def test_cli_geometry_error_exits_3_with_full_flag(tmp_path, capsys):
     """A track that cannot be built is a runtime failure; the FAILED flag
     holds the whole message and is written without a temporary left over."""
-    out = tmp_path / "run"
-    code = cli.main(["collect", "--minutes", "0.05", "--out", str(out),
-                     "track.straights="])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert (out / "FAILED").read_text() == err[len("error: "):]
-    assert not (out / ".FAILED.tmp").exists()
+    for i, override in enumerate(["track.straights=", "track.half_width=-1"]):
+        out = tmp_path / f"run{i}"
+        code = cli.main(["collect", "--minutes", "0.05", "--out", str(out),
+                         override])
+        assert code == 3, override
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (out / "FAILED").read_text() == err[len("error: "):]
+        assert not (out / ".FAILED.tmp").exists()
 
 
 # Each call fails a check that needs no file: the named checkpoint and
@@ -439,6 +440,17 @@ _CONFIG_ERRORS = {
         tiny_cfg("collect.rate=20"), out),
     "collect_mix": lambda out: commands.cmd_collect(
         tiny_cfg("collect.mix=drift"), out),
+    "collect_plant_mass": lambda out: commands.cmd_collect(
+        tiny_cfg("plant.mass=0"), out),
+    "collect_plant_wheelbase": lambda out: commands.cmd_collect(
+        tiny_cfg("plant.lf=0", "plant.lr=0"), out),
+    "collect_plant_steer_tau": lambda out: commands.cmd_collect(
+        tiny_cfg("plant.steer_tau=0"), out),
+    "explore_plant_accel_tau": lambda out: commands.cmd_explore(
+        tiny_cfg("plant.accel_tau=-0.1"), out),
+    "deploy_plant_yaw_inertia": lambda out: commands.cmd_deploy(
+        tiny_cfg("plant.yaw_inertia=0"), out, checkpoint_path="no-ckpt.json",
+        mode="direct"),
     "train_no_data": lambda out: commands.cmd_train(tiny_cfg(), out),
     "eval_no_checkpoint": lambda out: commands.cmd_eval(
         tiny_cfg(), out, data_dir="no-data"),

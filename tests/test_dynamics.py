@@ -3,7 +3,7 @@ evaluation pooling, and checkpoint persistence."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from penn_mpc import commands, config, data, mppi, nn
@@ -554,15 +554,25 @@ def test_member_permutation_only_permutes_output():
         assert np.array_equal(out[i], base[j])
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path):
-    samples = _linear_samples(60, 2, seed=13)
-    model, _ = dyn.train(dyn.build_model(h=2, b=2, hidden=[6], seed=3),
-                         samples[:40], samples[40:], dyn.TrainConfig(epochs=2))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h=st.integers(1, 5), b=st.integers(1, 4),
+       hidden=st.lists(st.integers(1, 12), max_size=3),
+       mode=st.sampled_from(["probabilistic", "deterministic"]),
+       activation=st.sampled_from(nn.ACTIVATIONS))
+def test_checkpoint_round_trip_bitwise(tmp_path, h, b, hidden, mode, activation):
+    # every example overwrites the one checkpoint file
+    samples = _linear_samples(60, h, seed=13)
+    model0 = dyn.build_model(h=h, b=b, hidden=hidden, mode=mode,
+                             activation=activation, seed=3)
+    model, _ = dyn.train(model0, samples[:40], samples[40:],
+                         dyn.TrainConfig(epochs=2))
     path = tmp_path / "model.json"
     dyn.save_checkpoint(model, path)
     loaded = dyn.load_checkpoint(path)
     assert loaded.h == model.h and loaded.b == model.b
-    assert loaded.mode == model.mode
+    assert loaded.mode == model.mode and loaded.activation == model.activation
+    assert loaded.layer_sizes == model.layer_sizes
     for a, b in zip(model.delta_batch(samples.pairs),
                     loaded.delta_batch(samples.pairs)):
         assert np.array_equal(a, b)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penn_mpc import sim
-from penn_mpc.errors import DataError, GeometryError
+from penn_mpc.errors import ConfigError, DataError, GeometryError
 
 
 @pytest.fixture(scope="module")
@@ -62,38 +62,62 @@ def test_drag_dissipation(params):
         prev = s.vx
 
 
-def test_mirror_symmetry(params):
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        vx = rng.uniform(2, 12)
-        vy = rng.normal() * 0.5
-        r = rng.normal() * 0.4
-        steer = rng.uniform(-1, 1)
-        throttle = rng.uniform(-1, 1)
-        a = sim.PlantState(vx=vx, vy=vy, r=r, steer_act=0.1 * steer)
-        b = sim.PlantState(vx=vx, vy=-vy, r=-r, steer_act=-0.1 * steer)
-        for _ in range(20):
-            a = sim.plant_step(a, np.array([steer, throttle]), params)
-            b = sim.plant_step(b, np.array([-steer, throttle]), params)
-        assert abs(a.vy + b.vy) < 1e-9
-        assert abs(a.r + b.r) < 1e-9
-        assert abs(a.vx - b.vx) < 1e-9
+# Valid plants around the kart defaults: every field positive where it must
+# be, grip and drag from slippery to sticky.
+PLANTS = st.builds(
+    sim.PlantParams,
+    mass=st.floats(50.0, 400.0), yaw_inertia=st.floats(10.0, 200.0),
+    lf=st.floats(0.2, 1.2), lr=st.floats(0.2, 1.2),
+    b_stiff=st.floats(2.0, 15.0), c_shape=st.floats(1.0, 2.0),
+    mu=st.floats(0.05, 1.5), mu_rear_scale=st.floats(0.5, 1.2),
+    drag=st.floats(0.0, 60.0), max_steer=st.floats(0.1, 0.6),
+    max_accel=st.floats(1.0, 8.0), dt=st.floats(0.02, 0.2),
+    steer_tau=st.floats(0.05, 0.5), accel_tau=st.floats(0.05, 0.5))
 
 
-def test_rk4_substep_convergence(params):
+@settings(max_examples=40, deadline=None)
+@given(params=PLANTS, vx=st.floats(0.0, 12.0), vy=st.floats(-1.0, 1.0),
+       r=st.floats(-1.0, 1.0), steer_act=st.floats(-0.45, 0.45),
+       steer=st.floats(-1.0, 1.0), throttle=st.floats(-1.0, 1.0))
+def test_mirror_symmetry(params, vx, vy, r, steer_act, steer, throttle):
+    """Mirroring the lateral state and the steering mirrors the trajectory."""
+    a = sim.PlantState(vx=vx, vy=vy, r=r, steer_act=steer_act)
+    b = sim.PlantState(vx=vx, vy=-vy, r=-r, steer_act=-steer_act)
+    for _ in range(20):
+        a = sim.plant_step(a, np.array([steer, throttle]), params)
+        b = sim.plant_step(b, np.array([-steer, throttle]), params)
+    assert abs(a.vy + b.vy) < 1e-9
+    assert abs(a.r + b.r) < 1e-9
+    assert abs(a.vx - b.vx) < 1e-9
+
+
+def _drive(params):
+    s = sim.PlantState(vx=5.0)
+    for i in range(100):  # 10 s
+        act = np.array([0.2 * np.sin(2 * np.pi * i * 0.1 / 3.0), 0.2])
+        s = sim.plant_step(s, act, params)
+    return s
+
+
+def test_rk4_substep_convergence(params, monkeypatch):
     # grip-regime trajectory: inside the slide threshold the dynamics are
     # non-chaotic and halving the substep moves a 10 s rollout by < 1e-6;
     # spins are sensitive-dependent and excluded by design
-    import dataclasses
-    fine = dataclasses.replace(params, n_substeps=20)
-    a = sim.PlantState(vx=5.0)
-    b = sim.PlantState(vx=5.0)
-    for i in range(100):  # 10 s
-        act = np.array([0.2 * np.sin(2 * np.pi * i * 0.1 / 3.0), 0.2])
-        a = sim.plant_step(a, act, params)
-        b = sim.plant_step(b, act, fine)
+    a = _drive(params)
+    monkeypatch.setattr(sim, "N_SUBSTEPS", 20)
+    b = _drive(params)
     for name in ("vx", "vy", "r", "x", "y", "yaw"):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-6, name
+
+
+@pytest.mark.parametrize("name", ["mass", "yaw_inertia", "dt", "steer_tau",
+                                  "accel_tau", "lf+lr"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_plant_params_reject_non_positive(name, value):
+    # a zero mass or wheelbase divides by zero; a zero lag writes NaN rows
+    kw = {"lf": value, "lr": value} if name == "lf+lr" else {name: value}
+    with pytest.raises(ConfigError):
+        sim.PlantParams(**kw)
 
 
 def test_action_clamped(params):
@@ -155,7 +179,8 @@ def test_non_closing_spec_rejected():
         sim.build_track_from_segments(
             [("straight", 50.0), ("arc", np.pi, 10.0)], 4.0)
     assert "gap" in str(err.value)
-    for spec in (sim.TrackSpec(straights=()), sim.TrackSpec(n_moderate=0)):
+    for spec in (sim.TrackSpec(straights=()), sim.TrackSpec(n_moderate=0),
+                 sim.TrackSpec(half_width=-1.0), sim.TrackSpec(half_width=0.0)):
         with pytest.raises(GeometryError):
             spec.segments()
 
@@ -293,13 +318,12 @@ def test_reversed_track_flips_curvature(track):
 
 
 def test_zigzag_steer_zero_crossings(track, params):
-    opts = sim.ManeuverOptions()
     ep = sim.scripted_maneuver("zigzag_low_speed", 8.0, "ccw", seed=5,
-                               track=track, params=params, opts=opts)
+                               track=track, params=params)
     steer = ep.actions[:, 0]
     crossings = np.where(np.diff(np.sign(steer + 1e-12)) != 0)[0]
     gaps = np.diff(crossings) * params.dt
-    expect = opts.zigzag_period / 2.0
+    expect = sim.ZIGZAG_PERIOD / 2.0
     assert np.all(np.abs(gaps - expect) <= params.dt + 1e-9)
 
 
