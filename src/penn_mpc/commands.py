@@ -275,8 +275,7 @@ def executed_jrd(model: PennModel, window: HistoryWindow) -> float:
 
 
 def _hold_throttle(v: float, params) -> float:
-    return float(np.clip(params.drag * v / (params.mass * params.max_accel),
-                         -1.0, 1.0))
+    return min(max(params.drag * v / (params.mass * params.max_accel), -1.0), 1.0)
 
 
 def _warm_window(state: PlantState, params, h: int) -> tuple[PlantState, HistoryWindow]:

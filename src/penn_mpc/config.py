@@ -9,7 +9,8 @@ line break). Every key has a default; unknown keys are rejected.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -130,23 +131,27 @@ def _sections(cfg: ExperimentConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "seed"}
 
 
-def _convert(value: str, current):
+def _convert(value: str, default):
+    """Parse ``value`` as the type of the key's default; a list key takes
+    its element type from the default's first element."""
     value = value.strip()
-    if isinstance(current, bool):
+    if isinstance(default, bool):
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {value!r}")
-    if isinstance(current, int):
+    if isinstance(default, int):
         return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if isinstance(current, (list, tuple)):
-        elem = current[0] if current else 0.0
+    if isinstance(default, float):
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"not a finite number: {value!r}")
+        return number
+    if isinstance(default, (list, tuple)):
         items = [v for v in value.split(",") if v.strip()]
-        return type(current)(type(elem)(_convert(v, elem)) for v in items)
+        return type(default)(_convert(v, default[0]) for v in items)
     return value
 
 
@@ -166,11 +171,13 @@ def set_key(cfg: ExperimentConfig, dotted: str, value: str) -> None:
     if section_name not in sections:
         raise ConfigError(f"unknown config section {section_name!r} in {dotted!r}")
     section = sections[section_name]
-    if field_name not in {f.name for f in fields(section)}:
+    f = next((f for f in fields(section) if f.name == field_name), None)
+    if f is None:
         raise ConfigError(f"unknown config key {dotted!r}")
-    current = getattr(section, field_name)
+    # the type comes from the default, which an emptied list keeps
+    default = f.default if f.default_factory is MISSING else f.default_factory()
     try:
-        converted = _convert(value, current)
+        converted = _convert(value, default)
     except ValueError as e:
         raise ConfigError(f"bad value for {dotted!r}: {e}") from e
     # config.txt is parsed line by line with "#" comments, so a string

@@ -76,26 +76,42 @@ class ForwardCache:
     squeeze: bool
 
 
+# Adam hyperparameters; only the learning rate is configurable.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam accumulators mirroring the parameter shapes, plus hyperparameters."""
+    """Adam accumulators: one flat float64 vector each for m and v, laid out
+    as the layers' weights then biases, layer by layer."""
 
-    m: list[LayerParams]
-    v: list[LayerParams]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def init(cls, params: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        zeros = [LayerParams(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                 for l in params.layers]
-        zeros2 = [l.copy() for l in zeros]
-        return cls(m=zeros, v=zeros2, step=0, lr=lr, beta1=beta1, beta2=beta2,
-                   epsilon=epsilon)
+    def init(cls, params: MlpParams, lr: float = 1e-3) -> "AdamState":
+        n = sum(l.weights.size + l.biases.size for l in params.layers)
+        return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
+
+
+def _flatten(layers: list[LayerParams]) -> np.ndarray:
+    return np.concatenate([a.ravel() for l in layers for a in (l.weights, l.biases)])
+
+
+def _unflatten(flat: np.ndarray, like: list[LayerParams]) -> list[LayerParams]:
+    """Per-layer views of ``flat`` shaped like ``like``."""
+    layers, lo = [], 0
+    for l in like:
+        w_hi = lo + l.weights.size
+        b_hi = w_hi + l.biases.size
+        layers.append(LayerParams(flat[lo:w_hi].reshape(l.weights.shape),
+                                  flat[w_hi:b_hi]))
+        lo = b_hi
+    return layers
 
 
 def init_params(layer_sizes: list[int], activation: str = "tanh",
@@ -192,31 +208,26 @@ def adam_step(params: MlpParams, grads: list[LayerParams],
               state: AdamState) -> tuple[MlpParams, AdamState]:
     """One Adam update with bias correction. Pure: returns new params/state.
 
-    Raises TrainingError on non-finite gradients rather than clamping them.
+    The update runs on the flattened parameters and gradients, so the new
+    parameters' layers are views of one fresh flat vector. Raises
+    TrainingError on non-finite gradients rather than clamping them.
     """
     if len(grads) != len(params.layers):
         raise ShapeError("gradient list does not match layer count")
     for g, p in zip(grads, params.layers):
         if g.weights.shape != p.weights.shape or g.biases.shape != p.biases.shape:
             raise ShapeError("gradient shapes do not mirror parameter shapes")
-        if not (np.all(np.isfinite(g.weights)) and np.all(np.isfinite(g.biases))):
-            raise TrainingError("non-finite gradient passed to adam_step")
+    g = _flatten(grads)
+    if not np.isfinite(g).all():
+        raise TrainingError("non-finite gradient passed to adam_step")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    new_layers, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params.layers, grads, state.m, state.v):
-        mw = b1 * m.weights + (1 - b1) * g.weights
-        mb = b1 * m.biases + (1 - b1) * g.biases
-        vw = b2 * v.weights + (1 - b2) * g.weights ** 2
-        vb = b2 * v.biases + (1 - b2) * g.biases ** 2
-        w = p.weights - state.lr * (mw / corr1) / (np.sqrt(vw / corr2) + state.epsilon)
-        b = p.biases - state.lr * (mb / corr1) / (np.sqrt(vb / corr2) + state.epsilon)
-        new_layers.append(LayerParams(w, b))
-        new_m.append(LayerParams(mw, mb))
-        new_v.append(LayerParams(vw, vb))
-    new_params = MlpParams(new_layers, params.activation, params.seed)
-    new_state = AdamState(m=new_m, v=new_v, step=t, lr=state.lr, beta1=state.beta1,
-                          beta2=state.beta2, epsilon=state.epsilon)
-    return new_params, new_state
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g ** 2
+    flat = _flatten(params.layers) - state.lr * (m / corr1) / (np.sqrt(v / corr2)
+                                                              + ADAM_EPSILON)
+    new_params = MlpParams(_unflatten(flat, params.layers), params.activation,
+                           params.seed)
+    return new_params, AdamState(m=m, v=v, step=t, lr=state.lr)

@@ -84,8 +84,8 @@ class PlantParams:
     accel_tau: float = 0.12
 
     def __post_init__(self) -> None:
-        for name in ("mass", "yaw_inertia", "dt", "steer_tau", "accel_tau",
-                     "wheelbase"):
+        for name in ("mass", "yaw_inertia", "mu", "dt", "steer_tau",
+                     "accel_tau", "wheelbase"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"plant {name} must be positive, got {value!r}")
@@ -101,49 +101,63 @@ def tire_lateral_force(slip_angle: float, b_stiff: float, c_shape: float,
     return mu * normal_load * math.sin(c_shape * math.atan(b_stiff * slip_angle))
 
 
-def _derivs(y, steer_cmd, accel_cmd, p: PlantParams):
-    vx, vy, r, _, _, yaw, delta, ax = y
-    vx_safe = vx if vx > V_EPS else V_EPS
-    alpha_f = delta - math.atan2(vy + p.lf * r, vx_safe)
-    alpha_r = -math.atan2(vy - p.lr * r, vx_safe)
-    fzf = p.mass * GRAVITY * p.lr / p.wheelbase
-    fzr = p.mass * GRAVITY * p.lf / p.wheelbase
-    fyf = tire_lateral_force(alpha_f, p.b_stiff, p.c_shape, p.mu, fzf)
-    fyr = tire_lateral_force(alpha_r, p.b_stiff, p.c_shape,
-                             p.mu * p.mu_rear_scale, fzr)
-    cd = math.cos(delta)
-    sd = math.sin(delta)
-    cy = math.cos(yaw)
-    sy = math.sin(yaw)
-    return np.array([
-        ax + vy * r - p.drag * vx / p.mass - fyf * sd / p.mass,
-        (fyf * cd + fyr) / p.mass - vx * r,
-        (p.lf * fyf * cd - p.lr * fyr) / p.yaw_inertia,
-        vx * cy - vy * sy,
-        vx * sy + vy * cy,
-        r,
-        (steer_cmd - delta) / p.steer_tau,
-        (accel_cmd - ax) / p.accel_tau,
-    ])
-
-
 def plant_step(s: PlantState, action, p: PlantParams) -> PlantState:
     """Advance one control period (p.dt) under a zero-order-hold action.
 
     Integrates with RK4 at dt / N_SUBSTEPS fixed substeps. States outside the
-    sanity bounds are clamped with a logged warning.
+    sanity bounds are clamped with a logged warning. The state is carried as
+    Python floats, whose arithmetic is the same IEEE double arithmetic as a
+    float64 array's, element by element, at a fraction of the call overhead.
     """
     steer, throttle = float(action[0]), float(action[1])
     steer_cmd = min(1.0, max(-1.0, steer)) * p.max_steer
     accel_cmd = min(1.0, max(-1.0, throttle)) * p.max_accel
-    y = np.array([s.vx, s.vy, s.r, s.x, s.y, s.yaw, s.steer_act, s.accel_act])
+    mass, inertia, lf, lr, drag = p.mass, p.yaw_inertia, p.lf, p.lr, p.drag
+    b_stiff, c_shape, mu = p.b_stiff, p.c_shape, p.mu
+    mu_rear = p.mu * p.mu_rear_scale
+    steer_tau, accel_tau = p.steer_tau, p.accel_tau
+    fzf = mass * GRAVITY * lr / p.wheelbase
+    fzr = mass * GRAVITY * lf / p.wheelbase
+
+    def derivs(vx, vy, r, yaw, delta, ax):
+        # d/dt of (vx, vy, r, x, y, yaw, delta, ax); the right-hand side
+        # does not depend on the position, so it takes no x or y
+        vx_safe = vx if vx > V_EPS else V_EPS
+        alpha_f = delta - math.atan2(vy + lf * r, vx_safe)
+        alpha_r = -math.atan2(vy - lr * r, vx_safe)
+        fyf = tire_lateral_force(alpha_f, b_stiff, c_shape, mu, fzf)
+        fyr = tire_lateral_force(alpha_r, b_stiff, c_shape, mu_rear, fzr)
+        cd = math.cos(delta)
+        sd = math.sin(delta)
+        cy = math.cos(yaw)
+        sy = math.sin(yaw)
+        return (ax + vy * r - drag * vx / mass - fyf * sd / mass,
+                (fyf * cd + fyr) / mass - vx * r,
+                (lf * fyf * cd - lr * fyr) / inertia,
+                vx * cy - vy * sy,
+                vx * sy + vy * cy,
+                r,
+                (steer_cmd - delta) / steer_tau,
+                (accel_cmd - ax) / accel_tau)
+
+    def stage(y, k, c):
+        # y + c * k for the six states the derivatives read
+        return derivs(y[0] + c * k[0], y[1] + c * k[1], y[2] + c * k[2],
+                      y[5] + c * k[5], y[6] + c * k[6], y[7] + c * k[7])
+
+    y = (float(s.vx), float(s.vy), float(s.r), float(s.x), float(s.y),
+         float(s.yaw), float(s.steer_act), float(s.accel_act))
     h = p.dt / N_SUBSTEPS
+    half = 0.5 * h
+    sixth = h / 6.0
     for _ in range(N_SUBSTEPS):
-        k1 = _derivs(y, steer_cmd, accel_cmd, p)
-        k2 = _derivs(y + 0.5 * h * k1, steer_cmd, accel_cmd, p)
-        k3 = _derivs(y + 0.5 * h * k2, steer_cmd, accel_cmd, p)
-        k4 = _derivs(y + h * k3, steer_cmd, accel_cmd, p)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = derivs(y[0], y[1], y[2], y[5], y[6], y[7])
+        k2 = stage(y, k1, half)
+        k3 = stage(y, k2, half)
+        k4 = stage(y, k3, h)
+        y = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    y = np.array(y)
     triple = y[:3]
     clipped = np.clip(triple, -DEFAULT_STATE_BOUNDS, DEFAULT_STATE_BOUNDS)
     if not np.array_equal(triple, clipped):
@@ -485,11 +499,11 @@ def _pure_pursuit(state: PlantState, track: Track, s_here: float,
     target, _, _ = track.point_at(s_here + ld)
     alpha = wrap_angle(math.atan2(target[1] - state.y, target[0] - state.x) - state.yaw)
     angle = math.atan2(2.0 * params.wheelbase * math.sin(alpha), ld)
-    return float(np.clip(angle / params.max_steer, -1.0, 1.0))
+    return min(max(angle / params.max_steer, -1.0), 1.0)
 
 
 def _speed_throttle(vx: float, v_des: float) -> float:
-    return float(np.clip(SPEED_GAIN * (v_des - vx), -1.0, 1.0))
+    return min(max(SPEED_GAIN * (v_des - vx), -1.0), 1.0)
 
 
 def scripted_maneuver(kind: str, duration: float, direction: str, seed: int,

@@ -5,6 +5,7 @@ from ``perfbench/workloads.py``, so renaming or reshaping a name the
 benchmark uses fails here instead of in a benchmark run."""
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -46,9 +47,8 @@ def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
         windows = data.window_episodes(episodes, 2)
         ds = data.split(windows, 0.7, seed=0)
         model0 = dynamics.build_model(h=2, b=2, hidden=[4], seed=0)
-        model, history = dynamics.train(
-            model0, ds.train, ds.test,
-            dynamics.TrainConfig(epochs=1, batch_size=16, seed=0))
+        tc = dynamics.TrainConfig(epochs=2, batch_size=16, seed=0)
+        model, history = dynamics.train(model0, ds.train, ds.test, tc)
         _, targets = dynamics.stack_samples(ds.test)
         threshold = commands.train_set_jrd_percentile(model, tmp_path / "data")
         window = dynamics.HistoryWindow(episodes[0].states[:2],
@@ -58,6 +58,8 @@ def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
         action, state, _ = mppi.mpc_step(state, model, window)
         exec_jrd = commands.executed_jrd(model, window)
         window = window.shifted(np.array([5.0, 0.0, 0.0]), action)
+        manifest = commands.cmd_collect(
+            config.load_config(None, ["collect.minutes=0.05"]), tmp_path / "c")
     finally:
         tr.uninstall()
     for owner, attr, original in originals:
@@ -75,8 +77,17 @@ def test_benchmark_api_under_tracer(tmp_path, monkeypatch):
     assert names["data.window_episodes"] == 2  # here and in the percentile
     in_train = Counter(s.name for i, s in enumerate(tr.spans)
                        if tr.inside(i, "dynamics.train"))
-    assert in_train["dynamics.stack_samples"] == 1 + 1  # 1 + epochs
-    assert in_train["dynamics.evaluate_rmse"] == 1      # once per epoch
+    assert in_train["dynamics.stack_samples"] == 1 + tc.epochs
+    assert in_train["dynamics.evaluate_rmse"] == tc.epochs
+    # one backward pass and one Adam step per member minibatch
+    per_train = model.b * -(-len(ds.train) // tc.batch_size) * tc.epochs
+    assert in_train["nn.mlp_backward"] == in_train["nn.adam_step"] == per_train
+    # the scripted maneuvers reach the plant through the sim module global,
+    # one step per logged row
+    in_collect = Counter(s.name for i, s in enumerate(tr.spans)
+                         if tr.inside(i, "commands.cmd_collect"))
+    total_rows = json.loads(manifest.read_text())["total_rows"]
+    assert in_collect["sim.plant_step"] == total_rows > 0
     rows = [s.rows for i, s in enumerate(tr.spans)
             if s.name == "dynamics.delta_batch" and tr.inside(i, "mppi.mpc_step")]
     assert rows == [cfg.k] * cfg.horizon

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -74,13 +75,18 @@ def _values_like(default):
 @given(data=st.data())
 def test_config_round_trip(data):
     """Any value of a key's type is either read back exactly from the dump,
-    or, for a string holding '#' or a line break, rejected when set."""
+    or, for a string holding '#' or a line break or a non-finite float,
+    rejected when set."""
     cfg = config.ExperimentConfig()
     for key, default in _defaults().items():
-        text = config._format_value(data.draw(_values_like(default), label=key))
+        value = data.draw(_values_like(default), label=key)
+        text = config._format_value(value)
         clean = text.strip()
-        if isinstance(default, str) and ("#" in clean or
-                                         len(clean.splitlines()) > 1):
+        items = value if isinstance(value, (list, tuple)) else [value]
+        non_finite = any(isinstance(v, float) and not math.isfinite(v)
+                         for v in items)
+        if non_finite or isinstance(default, str) and (
+                "#" in clean or len(clean.splitlines()) > 1):
             with pytest.raises(ConfigError):
                 config.set_key(cfg, key, text)
             continue
@@ -92,8 +98,17 @@ def test_config_round_trip(data):
     assert config.dump_config(config.parse_config_text(dumped)) == dumped
 
 
+# Float keys whose NaN once reached an int() deep in a command.
+_NAN_KEYS = ("collect.minutes", "collect.episode_seconds", "collect.rate",
+             "explore.eval_seconds", "train.split_ratio",
+             "track.moderate_radius", "track.sharp_radius",
+             "track.sharp_angle_deg", "track.straights")
+
+
 def test_config_rejects_values_that_do_not_read_back():
-    for item in ("io.out=runs/a#b", "collect.mix=zigzag:1\nslide:1"):
+    nan_items = [f"{key}={v}" for key in _NAN_KEYS for v in ("nan", "inf")]
+    for item in ("io.out=runs/a#b", "collect.mix=zigzag:1\nslide:1",
+                 "mppi.sigma=0.3,nan", "plant.mu=-inf", *nan_items):
         with pytest.raises(ConfigError):
             config.load_config(None, [item])
 
@@ -120,6 +135,15 @@ def test_config_file_loading(tmp_path):
     cfg = config.load_config(path, ["model.h=8"])  # overrides beat the file
     assert cfg.model.h == 8
     assert cfg.mppi.sigma == [0.2, 0.4]
+    # an emptied list key keeps its element type when set again
+    path.write_text("model.hidden =\ntrack.straights =\n")
+    cfg = config.load_config(path, ["model.hidden=16,16", "track.straights=5,6"])
+    assert cfg.model.hidden == [16, 16]
+    assert all(type(v) is int for v in cfg.model.hidden)
+    assert cfg.track.straights == (5.0, 6.0)
+    assert all(type(v) is float for v in cfg.track.straights)
+    cfg = config.load_config(None, ["model.hidden=", "model.hidden=16,16"])
+    assert all(type(v) is int for v in cfg.model.hidden)
 
 
 def test_config_hash_stable():
@@ -446,6 +470,8 @@ _CONFIG_ERRORS = {
         tiny_cfg("plant.lf=0", "plant.lr=0"), out),
     "collect_plant_steer_tau": lambda out: commands.cmd_collect(
         tiny_cfg("plant.steer_tau=0"), out),
+    "collect_plant_mu": lambda out: commands.cmd_collect(
+        tiny_cfg("plant.mu=-1"), out),
     "explore_plant_accel_tau": lambda out: commands.cmd_explore(
         tiny_cfg("plant.accel_tau=-0.1"), out),
     "deploy_plant_yaw_inertia": lambda out: commands.cmd_deploy(
@@ -485,6 +511,10 @@ def test_cli_config_error_leaves_no_output_dir(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["collect", "--rate", "20", "--out", str(out)]) == 2
     assert not out.exists()
+    for override in ("plant.mu=-1", "collect.episode_seconds=nan"):
+        assert cli.main(["collect", "--minutes", "0.5", "--out", str(out),
+                         override]) == 2, override
+        assert not out.exists()
 
 
 def test_cli_effective_config_round_trips(tmp_path):

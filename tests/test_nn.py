@@ -205,7 +205,68 @@ def test_adam_pure_function():
     a2, s2 = nn.adam_step(p, g, state)
     assert np.array_equal(a1.layers[0].weights, a2.layers[0].weights)
     assert s1.step == s2.step == 1
-    assert np.array_equal(s1.m[0].weights, s2.m[0].weights)
+    # the accumulators are flat vectors, weights then biases
+    assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
+    assert not state.m.any() and not state.v.any() and state.step == 0
+
+
+def _reference_adam(layers, grads, ms, vs, t, lr):
+    """One Adam step array by array, with the update's operand order; the
+    accumulators are per-layer (weights, biases) pairs."""
+    b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPSILON
+    corr1 = 1.0 - b1 ** t
+    corr2 = 1.0 - b2 ** t
+    out, out_m, out_v = [], [], []
+    for p, g, m, v in zip(layers, grads, ms, vs):
+        new_p, new_m, new_v = [], [], []
+        for pa, ga, ma, va in zip(p, g, m, v):
+            ma = b1 * ma + (1 - b1) * ga
+            va = b2 * va + (1 - b2) * ga ** 2
+            new_p.append(pa - lr * (ma / corr1) / (np.sqrt(va / corr2) + eps))
+            new_m.append(ma)
+            new_v.append(va)
+        out.append(new_p)
+        out_m.append(new_m)
+        out_v.append(new_v)
+    return out, out_m, out_v
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       lr=st.sampled_from([1e-3, 0.05]), scale=st.sampled_from([1e-6, 1.0, 1e4]))
+def test_adam_matches_per_layer_reference(seed, sizes, lr, scale):
+    """Five chained ``adam_step`` calls equal the per-layer update bit for
+    bit, leave their inputs untouched, and return each network's layers as
+    views of one flat vector."""
+    rng = np.random.default_rng(seed)
+    p = nn.init_params(sizes, seed=seed)
+    state = nn.AdamState.init(p, lr=lr)
+    ref = [(l.weights, l.biases) for l in p.layers]
+    ref_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
+    ref_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
+    for t in range(1, 6):
+        grads = [nn.LayerParams(rng.normal(scale=scale, size=l.weights.shape),
+                                rng.normal(scale=scale, size=l.biases.shape))
+                 for l in p.layers]
+        before = [(l.weights.copy(), l.biases.copy()) for l in p.layers]
+        prev = state
+        m_before, v_before = prev.m.copy(), prev.v.copy()
+        p_next, state = nn.adam_step(p, grads, prev)
+        for l, (w, b) in zip(p.layers, before):
+            assert np.array_equal(l.weights, w) and np.array_equal(l.biases, b)
+        assert np.array_equal(prev.m, m_before) and np.array_equal(prev.v, v_before)
+        assert state.step == t
+        ref, ref_m, ref_v = _reference_adam(
+            ref, [(g.weights, g.biases) for g in grads], ref_m, ref_v, t, lr)
+        flat_m = np.concatenate([a.ravel() for pair in ref_m for a in pair])
+        flat_v = np.concatenate([a.ravel() for pair in ref_v for a in pair])
+        assert np.array_equal(state.m, flat_m) and np.array_equal(state.v, flat_v)
+        base = p_next.layers[0].weights.base
+        for l, (w, b) in zip(p_next.layers, ref):
+            assert np.array_equal(l.weights, w) and np.array_equal(l.biases, b)
+            assert l.weights.base is base and l.biases.base is base
+        p = p_next
 
 
 def test_adam_rejects_nan_grads():

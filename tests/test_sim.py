@@ -1,6 +1,8 @@
 """Ground-truth plant, track geometry, and scripted maneuvers."""
 
 import logging
+import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -110,11 +112,95 @@ def test_rk4_substep_convergence(params, monkeypatch):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-6, name
 
 
-@pytest.mark.parametrize("name", ["mass", "yaw_inertia", "dt", "steer_tau",
-                                  "accel_tau", "lf+lr"])
+def _reference_derivs(y, steer_cmd, accel_cmd, p):
+    """The plant's right-hand side on an (8,) float64 state array."""
+    vx, vy, r, _, _, yaw, delta, ax = y
+    vx_safe = vx if vx > sim.V_EPS else sim.V_EPS
+    alpha_f = delta - math.atan2(vy + p.lf * r, vx_safe)
+    alpha_r = -math.atan2(vy - p.lr * r, vx_safe)
+    fzf = p.mass * sim.GRAVITY * p.lr / p.wheelbase
+    fzr = p.mass * sim.GRAVITY * p.lf / p.wheelbase
+    fyf = sim.tire_lateral_force(alpha_f, p.b_stiff, p.c_shape, p.mu, fzf)
+    fyr = sim.tire_lateral_force(alpha_r, p.b_stiff, p.c_shape,
+                                 p.mu * p.mu_rear_scale, fzr)
+    cd = math.cos(delta)
+    sd = math.sin(delta)
+    cy = math.cos(yaw)
+    sy = math.sin(yaw)
+    return np.array([
+        ax + vy * r - p.drag * vx / p.mass - fyf * sd / p.mass,
+        (fyf * cd + fyr) / p.mass - vx * r,
+        (p.lf * fyf * cd - p.lr * fyr) / p.yaw_inertia,
+        vx * cy - vy * sy,
+        vx * sy + vy * cy,
+        r,
+        (steer_cmd - delta) / p.steer_tau,
+        (accel_cmd - ax) / p.accel_tau,
+    ])
+
+
+def _reference_step(s, action, p):
+    """``plant_step`` as whole-array RK4 on an (8,) float64 state; returns
+    the next state's 8 fields and the clamped triple it warns about, or
+    None when it does not clamp."""
+    steer_cmd = min(1.0, max(-1.0, float(action[0]))) * p.max_steer
+    accel_cmd = min(1.0, max(-1.0, float(action[1]))) * p.max_accel
+    y = np.array([s.vx, s.vy, s.r, s.x, s.y, s.yaw, s.steer_act, s.accel_act])
+    h = p.dt / sim.N_SUBSTEPS
+    for _ in range(sim.N_SUBSTEPS):
+        k1 = _reference_derivs(y, steer_cmd, accel_cmd, p)
+        k2 = _reference_derivs(y + 0.5 * h * k1, steer_cmd, accel_cmd, p)
+        k3 = _reference_derivs(y + 0.5 * h * k2, steer_cmd, accel_cmd, p)
+        k4 = _reference_derivs(y + h * k3, steer_cmd, accel_cmd, p)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    triple = y[:3]
+    clipped = np.clip(triple, -sim.DEFAULT_STATE_BOUNDS, sim.DEFAULT_STATE_BOUNDS)
+    warned = None if np.array_equal(triple, clipped) else triple
+    fields = [*clipped, y[3], y[4], sim.wrap_angle(y[5]), y[6], y[7]]
+    return [float(v) for v in fields], warned
+
+
+_FIELDS = ("vx", "vy", "r", "x", "y", "yaw", "steer_act", "accel_act")
+# plain values plus speeds far outside the sanity bounds and values just
+# inside them, so a step can start, or end, clamped
+_STATE_VALUES = st.floats(-30.0, 30.0) | st.sampled_from(
+    [0.0, -0.0, 0.5, 99.99, -99.99, 49.99, 19.99, 150.0, -400.0, 1e4])
+_ACTIONS = st.floats(-3.0, 3.0) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=PLANTS, state=st.tuples(*[_STATE_VALUES] * 8),
+       actions=st.lists(st.tuples(_ACTIONS, _ACTIONS), min_size=1, max_size=3),
+       substeps=st.sampled_from([1, 10]))
+def test_plant_step_matches_array_rk4(params, state, actions, substeps):
+    """``plant_step`` gives every field of the whole-array RK4 bit for bit
+    (NaN equal to NaN) and warns about the same clamped triple, over chained
+    steps with NaN and out-of-range actions."""
+    s = sim.PlantState(*state)
+    with patch.object(sim, "N_SUBSTEPS", substeps), \
+            patch.object(sim.log, "warning") as warning, \
+            np.errstate(all="ignore"):
+        for action in actions:
+            want, warned = _reference_step(s, np.array(action), params)
+            warning.reset_mock()
+            s = sim.plant_step(s, np.array(action), params)
+            got = [getattr(s, name) for name in _FIELDS]
+            assert np.array_equal(got, want, equal_nan=True), (got, want)
+            assert all(type(v) is float for v in got)
+            if warned is None:
+                warning.assert_not_called()
+            else:
+                (_, triple), _ = warning.call_args
+                assert np.array_equal(triple, warned, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["mass", "yaw_inertia", "mu", "dt",
+                                  "steer_tau", "accel_tau", "lf+lr"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
 def test_plant_params_reject_non_positive(name, value):
-    # a zero mass or wheelbase divides by zero; a zero lag writes NaN rows
+    # a zero mass or wheelbase divides by zero; a zero lag writes NaN rows;
+    # a negative grip takes the square root of a negative speed cap
     kw = {"lf": value, "lr": value} if name == "lf+lr" else {name: value}
     with pytest.raises(ConfigError):
         sim.PlantParams(**kw)
