@@ -266,12 +266,37 @@ def cmd_ablate_history(cfg: ExperimentConfig, out_dir, data_dir=None,
 # Closed-loop running (shared by explore and deploy)
 
 
+# Rows per block of the disagreement at a batch of histories. Blocks start
+# every _JRD_BLOCK_ROWS rows and the remainder is folded into the last one,
+# so a block holds 512-1023 rows, or all N when N < 512. A short tail block
+# would change bits: OpenBLAS switches to small-matrix kernels for short
+# inputs, and those round differently from the same rows inside a long call
+# (the 64->6 output layer differs below about 244 rows, the 64->64 layer at
+# 16 rows or fewer).
+_JRD_BLOCK_ROWS = 512
+
+
+def _ensemble_jrd(model: PennModel, pairs: np.ndarray) -> np.ndarray:
+    """Ensemble disagreement at each of an (N, H, 5) batch of histories,
+    bit-identical to one whole-array pass. It runs in row blocks, so its
+    temporaries are set by the block size rather than by N."""
+    n = pairs.shape[0]
+    vals = np.empty(n)
+    n_blocks = max(1, n // _JRD_BLOCK_ROWS)
+    for i in range(n_blocks):
+        lo = i * _JRD_BLOCK_ROWS
+        hi = n if i == n_blocks - 1 else lo + _JRD_BLOCK_ROWS
+        means, varis = model.delta_batch(pairs[lo:hi])
+        vals[lo:hi] = jrd_batch(means.transpose(1, 0, 2),
+                                varis.transpose(1, 0, 2))
+    return vals
+
+
 def executed_jrd(model: PennModel, window: HistoryWindow) -> float:
     """Ensemble disagreement at one executed (history, action) point."""
     if model.mode != "probabilistic" or model.b < 2:
         return 0.0
-    means, varis = model.delta_batch(window.pairs[None])
-    return float(jrd_batch(means.transpose(1, 0, 2), varis.transpose(1, 0, 2))[0])
+    return float(_ensemble_jrd(model, window.pairs[None])[0])
 
 
 def _hold_throttle(v: float, params) -> float:
@@ -412,8 +437,7 @@ def _write_diagnostics(rows: list[dict], mode: str, path: Path) -> None:
 def train_set_jrd_percentile(model: PennModel, data_dir, q: float = 95.0) -> float:
     """Disagreement distribution of a dataset under a checkpoint, q-th pct."""
     episodes, _ = load_dataset(data_dir)
-    means, varis = model.delta_batch(window_episodes(episodes, model.h).pairs)
-    vals = jrd_batch(means.transpose(1, 0, 2), varis.transpose(1, 0, 2))
+    vals = _ensemble_jrd(model, window_episodes(episodes, model.h).pairs)
     return float(np.percentile(vals, q))
 
 

@@ -18,6 +18,13 @@ from .mppi import MppiConfig
 from .sim import PlantParams, TrackSpec
 
 
+def _check_at_least(section: str, obj, low: int, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if value < low:
+            raise ConfigError(f"{section}.{name} must be >= {low}, got {value!r}")
+
+
 @dataclass
 class ModelSection:
     h: int = 4
@@ -28,6 +35,9 @@ class ModelSection:
     var_min: float = 1e-6
     var_max: float = 10.0
 
+    def __post_init__(self) -> None:
+        _check_at_least("model", self, 1, "h", "b")
+
 
 @dataclass
 class TrainSection:
@@ -36,6 +46,9 @@ class TrainSection:
     lr: float = 1e-3
     split_ratio: float = 0.7
     bootstrap: bool = True
+
+    def __post_init__(self) -> None:
+        _check_at_least("train", self, 1, "batch")
 
 
 @dataclass
@@ -58,6 +71,17 @@ class CostsSection:
     penalty_big: float = 1000.0
     v_target: float = 8.0
 
+    def __post_init__(self) -> None:
+        if self.jrd_threshold == "auto":
+            return
+        try:
+            finite = math.isfinite(float(self.jrd_threshold))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ConfigError("costs.jrd_threshold must be auto or a finite "
+                              f"number, got {self.jrd_threshold!r}")
+
 
 @dataclass
 class ExploreSection:
@@ -67,6 +91,9 @@ class ExploreSection:
     retrain_epochs: int = 100
     policy: str = "explore"  # or "random"
     eval_seconds: float = 240.0
+
+    def __post_init__(self) -> None:
+        _check_at_least("explore", self, 0, "steps_per_round", "warmup_steps")
 
 
 @dataclass
@@ -82,6 +109,9 @@ class DeploySection:
     laps: int = 2
     max_steps: int = 1500
     v_start: float = 4.0
+
+    def __post_init__(self) -> None:
+        _check_at_least("deploy", self, 0, "max_steps")
 
 
 @dataclass
@@ -214,6 +244,10 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         set_key(cfg, key, value)
+    # set_key assigns one field at a time, so these sections check their
+    # final values here, as plant_params() does for the plant
+    for section in (cfg.model, cfg.train, cfg.costs, cfg.explore, cfg.deploy):
+        replace(section)
     return cfg
 
 

@@ -198,8 +198,8 @@ def bound_variance(raw: np.ndarray, var_min: float = 1e-6,
     so the likelihood gradient can be chained through the bounding.
     """
     sig = _sigmoid(np.asarray(raw, dtype=np.float64))
-    span = var_max - var_min
-    return var_min + span * sig, span * sig * (1.0 - sig)
+    scaled = (var_max - var_min) * sig
+    return var_min + scaled, scaled * (1.0 - sig)
 
 
 @dataclass
@@ -309,9 +309,11 @@ def _head_loss_and_grad(model: PennModel, out: np.ndarray,
     var, dvar_draw = bound_variance(raw, model.var_min, model.var_max)
     diff = targets_n - mu
     loss = float(np.mean(0.5 * np.sum(diff**2 / var + np.log(var) + LOG_2PI, axis=1)))
-    g_mu = -diff / var / n
-    g_raw = 0.5 * (1.0 / var - diff**2 / var**2) * dvar_draw / n
-    return loss, np.concatenate([g_mu, g_raw], axis=1)
+    grad = np.empty((n, 2 * STATE_DIM))
+    np.divide(-diff / var, n, out=grad[:, :STATE_DIM])
+    np.divide(0.5 * (1.0 / var - diff**2 / var**2) * dvar_draw, n,
+              out=grad[:, STATE_DIM:])
+    return loss, grad
 
 
 def train(model: PennModel, train_set, test_set,
@@ -324,6 +326,8 @@ def train(model: PennModel, train_set, test_set,
     """
     if cfg.epochs < 1:
         raise TrainingError(f"need at least 1 epoch, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise TrainingError(f"need a batch of at least 1, got {cfg.batch_size}")
     inputs, targets = stack_samples(train_set)
     if not test_set:
         raise TrainingError("empty test set")
@@ -344,7 +348,7 @@ def train(model: PennModel, train_set, test_set,
     best_rmse = np.inf
     best_members = [m.copy() for m in model.members]
     best_epoch = -1
-    batch = max(1, int(cfg.batch_size))
+    batch = cfg.batch_size
 
     for epoch in range(cfg.epochs):
         losses = []
@@ -359,7 +363,7 @@ def train(model: PennModel, train_set, test_set,
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, member {i}")
-                grads, _ = nn.mlp_backward(params, cache, head_grad)
+                grads = nn.mlp_backward(params, cache, head_grad)
                 params, state = nn.adam_step(params, grads, state)
                 losses.append(loss)
             model.members[i] = params

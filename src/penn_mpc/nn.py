@@ -168,14 +168,14 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_grad: np.ndarray) -> tuple[list[LayerParams], np.ndarray]:
+                 output_grad: np.ndarray) -> list[LayerParams]:
     """Exact reverse-mode gradients for the scalar whose output gradient is given.
 
     ``output_grad`` has the shape of the forward output; for batches the
     parameter gradients are summed over the batch. The activation's derivative
     comes from the activations the cache holds: ``1 - a*a`` for tanh,
     ``a > 0`` for relu and one for identity. Returns per-layer grads (in
-    LayerParams containers) and the gradient w.r.t. the input.
+    LayerParams containers); the gradient w.r.t. the input is not computed.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if cache.squeeze:
@@ -195,13 +195,15 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
             # g is the fresh product from the layer above, never the caller's
             a = cache.inputs[k + 1]
             if params.activation == "tanh":
-                g *= 1.0 - a * a
+                d = a * a
+                np.subtract(1.0, d, out=d)
+                g *= d
             elif params.activation == "relu":
                 g *= a > 0.0
         grads[k] = LayerParams(g.T @ cache.inputs[k], g.sum(axis=0))
-        g = g @ layer.weights
-    input_grad = g[0] if cache.squeeze else g
-    return grads, input_grad
+        if k:
+            g = g @ layer.weights
+    return grads
 
 
 def adam_step(params: MlpParams, grads: list[LayerParams],

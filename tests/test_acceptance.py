@@ -131,7 +131,7 @@ def test_c2b_jrd_fixture_literal_value():
 def _fd_worst(params, x, loss_and_head_grad, stride=5, h=1e-5):
     out, cache = nn.mlp_forward(params, x)
     _, head_grad = loss_and_head_grad(out)
-    grads, _ = nn.mlp_backward(params, cache, head_grad)
+    grads = nn.mlp_backward(params, cache, head_grad)
     worst = 0.0
     for li, layer in enumerate(params.layers):
         for arr, g in ((layer.weights, grads[li].weights),

@@ -6,15 +6,16 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from penn_mpc import cli, commands, config
+from penn_mpc import cli, commands, config, dynamics, jrd
 from penn_mpc.errors import ConfigError, DataError
 
 TINY = [
@@ -384,6 +385,56 @@ def test_deploy_deterministic(tmp_path, trained, collected):
     _assert_trees_identical(tmp_path / "a", tmp_path / "b")
 
 
+# Row counts around the block size: below it, at it, one past it, and tails
+# that a plain split would leave short (4,700 is the deploy benchmark's
+# training set, which a plain split leaves with a 92-row tail).
+_JRD_ROWS = (1, 2, 200, 255, 511, 512, 513, 1023, 1024, 1025, 1600, 4700,
+             5000)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=4700, b=5, hidden=64, seed=0, n_bad=2)
+@given(n=st.sampled_from(_JRD_ROWS), b=st.integers(2, 5),
+       hidden=st.integers(8, 64), seed=st.integers(0, 2**32 - 1),
+       n_bad=st.integers(0, 3))
+def test_ensemble_jrd_blocks_match_whole_pass(n, b, hidden, seed, n_bad):
+    """The blocked disagreement behind the auto threshold equals one
+    whole-array ``delta_batch`` + ``jrd_batch`` bit for bit, NaN equal to
+    NaN, NaN and inf rows included. This holds only because no block is
+    short: OpenBLAS switches to small-matrix kernels for short inputs, and
+    those round the same rows differently from a long call."""
+    rng = np.random.default_rng(seed)
+    model = dynamics.build_model(h=4, b=b, hidden=[hidden, hidden], seed=seed)
+    model.stats = dynamics.NormStats(rng.normal(size=20),
+                                     rng.uniform(0.5, 3.0, 20),
+                                     rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
+    pairs = rng.normal(scale=3.0, size=(n, 4, 5))
+    bad = rng.choice(n, size=min(n_bad, n), replace=False)
+    pairs[bad, rng.integers(0, 4, bad.size), rng.integers(0, 5, bad.size)] = \
+        rng.choice([np.nan, np.inf, -np.inf], size=bad.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = commands._ensemble_jrd(model, pairs)
+        means, varis = model.delta_batch(pairs)
+        want = jrd.jrd_batch(means.transpose(1, 0, 2), varis.transpose(1, 0, 2))
+    assert got.shape == (n,)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_ensemble_jrd_memory_does_not_grow_with_rows():
+    """20,000 histories through a default-size ensemble (B=5, hidden 64,64):
+    the blocked pass peaks under 8 MB, where one whole-array pass peaks at
+    about 52 MB."""
+    model = dynamics.build_model(h=4, b=5, hidden=[64, 64], seed=0)
+    pairs = np.random.default_rng(0).normal(size=(20_000, 4, 5))
+    tracemalloc.start()
+    try:
+        commands._ensemble_jrd(model, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 # --- CLI entry point
 
 
@@ -496,6 +547,24 @@ _CONFIG_ERRORS = {
     "deploy_sigma": lambda out: commands.cmd_deploy(
         tiny_cfg("mppi.sigma=0.3"), out, checkpoint_path="no-ckpt.json",
         mode="direct"),
+    "train_model_b_zero": lambda out: commands.cmd_train(
+        tiny_cfg("model.b=0"), out, data_dir="no-data"),
+    "train_model_b_negative": lambda out: commands.cmd_train(
+        tiny_cfg("model.b=-1"), out, data_dir="no-data"),
+    "train_batch_zero": lambda out: commands.cmd_train(
+        tiny_cfg("train.batch=0"), out, data_dir="no-data"),
+    "train_batch_negative": lambda out: commands.cmd_train(
+        tiny_cfg("train.batch=-5"), out, data_dir="no-data"),
+    "deploy_max_steps_negative": lambda out: commands.cmd_deploy(
+        tiny_cfg("deploy.max_steps=-1"), out, checkpoint_path="no-ckpt.json",
+        mode="direct"),
+    "deploy_threshold_empty": lambda out: commands.cmd_deploy(
+        tiny_cfg("costs.jrd_threshold="), out, checkpoint_path="no-ckpt.json",
+        data_dir="no-data", mode="safe"),
+    "explore_warmup_steps_negative": lambda out: commands.cmd_explore(
+        tiny_cfg("explore.warmup_steps=-1"), out),
+    "explore_steps_per_round_negative": lambda out: commands.cmd_explore(
+        tiny_cfg("explore.steps_per_round=-1"), out),
 }
 
 

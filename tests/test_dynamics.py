@@ -381,7 +381,7 @@ def test_full_network_nll_gradient_fd():
 
     out, cache = nn.mlp_forward(params, feats)
     _, head_grad = dyn._head_loss_and_grad(model, out, targets)
-    grads, _ = nn.mlp_backward(params, cache, head_grad)
+    grads = nn.mlp_backward(params, cache, head_grad)
     h = 1e-5
     worst = 0.0
     for li, layer in enumerate(params.layers):

@@ -104,29 +104,33 @@ def test_affine_with_identity_activation():
 
 
 def test_backward_linear_chain_rule():
-    # y = w x + b with w=2, x=3: dL/dw=3, dL/db=1, dL/dx=w
-    p = nn.init_params([1, 1], activation="identity", seed=0)
+    # y = v (w x + b) + c with w=2, v=5, x=3: dL/dv=w x=6, dL/dc=1, and the
+    # chain through v reaches the first layer: dL/dw=v x=15, dL/db=v=5
+    p = nn.init_params([1, 1, 1], activation="identity", seed=0)
     p.layers[0].weights[:] = 2.0
+    p.layers[1].weights[:] = 5.0
     _, cache = nn.mlp_forward(p, np.array([3.0]))
-    grads, input_grad = nn.mlp_backward(p, cache, np.array([1.0]))
-    assert grads[0].weights[0, 0] == pytest.approx(3.0)
-    assert grads[0].biases[0] == pytest.approx(1.0)
-    assert input_grad[0] == pytest.approx(2.0)
+    grads = nn.mlp_backward(p, cache, np.array([1.0]))
+    assert len(grads) == 2
+    assert grads[1].weights[0, 0] == pytest.approx(6.0)
+    assert grads[1].biases[0] == pytest.approx(1.0)
+    assert grads[0].weights[0, 0] == pytest.approx(15.0)
+    assert grads[0].biases[0] == pytest.approx(5.0)
 
 
 def test_backward_zero_grad():
     p = nn.init_params([3, 5, 2], seed=0)
     x = np.ones(3)
     _, cache = nn.mlp_forward(p, x)
-    grads, input_grad = nn.mlp_backward(p, cache, np.zeros(2))
+    grads = nn.mlp_backward(p, cache, np.zeros(2))
+    assert [g.weights.shape for g in grads] == [(5, 3), (2, 5)]
     assert all(np.all(g.weights == 0) and np.all(g.biases == 0) for g in grads)
-    assert np.all(input_grad == 0)
 
 
 def _fd_check(p, x, proj, rel_tol=1e-4, h=1e-5):
     """Central finite differences on L = sum(proj * f(x)) for every param."""
     y, cache = nn.mlp_forward(p, x)
-    grads, _ = nn.mlp_backward(p, cache, proj)
+    grads = nn.mlp_backward(p, cache, proj)
     worst = 0.0
     for li, layer in enumerate(p.layers):
         for arr, g in ((layer.weights, grads[li].weights),
@@ -309,7 +313,8 @@ def _reference_forward(params, x):
 
 
 def _reference_backward(params, inputs, pre_acts, squeeze, output_grad):
-    """Backprop re-deriving each activation from the cached pre-activations."""
+    """Backprop re-deriving each activation from the cached pre-activations;
+    per-layer (weights, biases) gradients."""
     g = np.asarray(output_grad, dtype=np.float64)
     if squeeze:
         g = g[None, :]
@@ -326,7 +331,7 @@ def _reference_backward(params, inputs, pre_acts, squeeze, output_grad):
                 g = g * np.ones_like(z)
         grads[k] = (g.T @ inputs[k], g.sum(axis=0))
         g = g @ params.layers[k].weights
-    return grads, (g[0] if squeeze else g)
+    return grads
 
 
 _SPECIAL = np.array([0.0, -0.0, 1e-300, -1e3, 40.0, np.inf, -np.inf, np.nan])
@@ -362,10 +367,10 @@ def test_forward_backward_match_reference(seed, activation, hidden, in_dim,
     g_out = rng.normal(size=out.shape)
     g_before = g_out.copy()
     with np.errstate(invalid="ignore"):
-        grads, g_in = nn.mlp_backward(p, cache, g_out)
-        want_grads, want_in = _reference_backward(p, inputs, pre_acts,
-                                                  rows is None, g_out)
-    assert np.array_equal(g_in, want_in, equal_nan=True)
+        grads = nn.mlp_backward(p, cache, g_out)
+        want_grads = _reference_backward(p, inputs, pre_acts, rows is None,
+                                         g_out)
+    assert len(grads) == len(want_grads)
     for got, (w, b) in zip(grads, want_grads):
         assert np.array_equal(got.weights, w, equal_nan=True)
         assert np.array_equal(got.biases, b, equal_nan=True)
