@@ -455,28 +455,30 @@ def _tree_bytes(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def run_all(cfg, base: Path) -> None:
+    """Every command on the tiny config, writing one tree under ``base``
+    (also the tree whose file hashes ``tests/golden`` records)."""
+    commands.cmd_collect(cfg, base / "collect")
+    data_dir = base / "collect" / "data"
+    commands.cmd_train(cfg, base / "train", data_dir=data_dir)
+    commands.cmd_eval(cfg, base / "eval",
+                      checkpoint_path=base / "train" / "checkpoint.json",
+                      data_dir=data_dir)
+    commands.cmd_ablate_history(cfg, base / "ablate", data_dir=data_dir,
+                                h_min=1, h_max=2)
+    commands.cmd_explore(cfg, base / "explore")
+    commands.cmd_deploy(cfg, base / "deploy",
+                        checkpoint_path=base / "train" / "checkpoint.json",
+                        mode="safe", data_dir=data_dir)
+
+
 @pytest.mark.slow
 def test_c9_determinism_and_persistence(tmp_path):
     """Every command byte-identical across reruns with a fixed seed;
     checkpoint and dataset round trips exact."""
     cfg = config.load_config(None, TINY_OVERRIDES + ["seed=7"])
-
-    def run_all(base: Path) -> None:
-        commands.cmd_collect(cfg, base / "collect")
-        data_dir = base / "collect" / "data"
-        commands.cmd_train(cfg, base / "train", data_dir=data_dir)
-        commands.cmd_eval(cfg, base / "eval",
-                          checkpoint_path=base / "train" / "checkpoint.json",
-                          data_dir=data_dir)
-        commands.cmd_ablate_history(cfg, base / "ablate", data_dir=data_dir,
-                                    h_min=1, h_max=2)
-        commands.cmd_explore(cfg, base / "explore")
-        commands.cmd_deploy(cfg, base / "deploy",
-                            checkpoint_path=base / "train" / "checkpoint.json",
-                            mode="safe", data_dir=data_dir)
-
-    run_all(tmp_path / "a")
-    run_all(tmp_path / "b")
+    run_all(cfg, tmp_path / "a")
+    run_all(cfg, tmp_path / "b")
     ta = _tree_bytes(tmp_path / "a")
     tb = _tree_bytes(tmp_path / "b")
     assert ta.keys() == tb.keys()
