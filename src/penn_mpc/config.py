@@ -49,6 +49,11 @@ class TrainSection:
 
     def __post_init__(self) -> None:
         _check_at_least("train", self, 1, "batch")
+        if not self.lr > 0:
+            raise ConfigError(f"train.lr must be > 0, got {self.lr!r}")
+        if not 0 < self.split_ratio < 1:
+            raise ConfigError(
+                f"train.split_ratio must be in (0, 1), got {self.split_ratio!r}")
 
 
 @dataclass
@@ -72,6 +77,8 @@ class CostsSection:
     v_target: float = 8.0
 
     def __post_init__(self) -> None:
+        _check_at_least("costs", self, 0, "w_track", "w_speed", "w_ctrl",
+                        "w_unc", "penalty_big")
         if self.jrd_threshold == "auto":
             return
         try:
@@ -112,6 +119,7 @@ class DeploySection:
 
     def __post_init__(self) -> None:
         _check_at_least("deploy", self, 0, "max_steps")
+        _check_at_least("deploy", self, 1, "laps")
 
 
 @dataclass

@@ -140,25 +140,31 @@ class PennModel:
         """Batched prediction surface: raw (N, H, 5) histories of (state,
         action) pairs, oldest first, to per-member raw increment means and
         variances (B, N, 3). Finiteness is the caller's concern (controllers
-        mark bad particles invalid). The members' forward passes run in their
-        parameters' dtype; each output is upcast to float64 before the head,
-        so the bounded variance, the de-normalization and both returned
-        arrays are float64 for a float32 copy too."""
+        mark bad particles invalid). The features are cast once to the
+        members' dtype. Each member's output goes, transposed, into one
+        float64 (B, outputs, N) head, so that each output channel is
+        contiguous over the rows. The bounded variance, the de-normalization
+        and the variance scale run once over all members, elementwise, and
+        the results are copied out in (B, N, 3) order."""
         pairs = np.asarray(pairs, dtype=np.float64)
         n = pairs.shape[0]
         feats = _zscore(pairs.reshape(n, -1), self.stats.input_mean,
                         self.stats.input_std)
-        means = np.empty((self.b, n, STATE_DIM))
-        varis = np.empty_like(means)
-        std, mean = self.stats.target_std, self.stats.target_mean
-        var_scale = std**2
+        feats = feats.astype(self.members[0].layers[0].weights.dtype, copy=False)
+        head = np.empty((self.b, self.layer_sizes[-1], n))
         for i, params in enumerate(self.members):
-            out, _ = nn.mlp_forward(params, feats)
-            mu_n, var_n = self._split_head(np.asarray(out, dtype=np.float64))
-            np.multiply(mu_n, std, out=means[i])
-            means[i] += mean
-            np.multiply(var_n, var_scale, out=varis[i])
-        return means, varis
+            head[i] = nn.mlp_forward(params, feats)[0].T
+        std = self.stats.target_std[:, None]
+        mu = head[:, :STATE_DIM] * std
+        mu += self.stats.target_mean[:, None]
+        if self.mode == "deterministic":
+            var = np.full(mu.shape, self.var_min)
+        else:
+            var = (self.var_max - self.var_min) * _sigmoid(head[:, STATE_DIM:])
+            np.add(self.var_min, var, out=var)
+        var *= std**2
+        return (np.ascontiguousarray(mu.transpose(0, 2, 1)),
+                np.ascontiguousarray(var.transpose(0, 2, 1)))
 
     def astype(self, dtype) -> "PennModel":
         """A new model whose members' weights and biases are cast to
@@ -169,12 +175,6 @@ class PennModel:
                           for l in m.layers], m.activation, m.seed)
             for m in self.members]
         return replace(self, members=members)
-
-    def _split_head(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode == "deterministic":
-            return out, np.full_like(out, self.var_min)
-        sig = _sigmoid(out[..., STATE_DIM:])
-        return out[..., :STATE_DIM], self.var_min + (self.var_max - self.var_min) * sig
 
 
 def _zscore(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -187,7 +187,7 @@ def _sigmoid(raw: np.ndarray) -> np.ndarray:
     pos = raw >= 0
     # the exponent is never positive, so exp cannot overflow
     e = np.exp(np.where(pos, -raw, raw))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def bound_variance(raw: np.ndarray, var_min: float = 1e-6,

@@ -1,55 +1,28 @@
 """Quadratic Renyi entropy for equal-weight diagonal-Gaussian mixtures and
 the Jensen-Renyi divergence used as the ensemble-disagreement signal.
 
-``jrd_batch`` is the one closed form; ``jrd_oracle_1d`` integrates the same
-quantity numerically for d=1 and is the independent reference it is tested
-against.
+``jrd_batch`` is the one closed form. The tests check it against a numeric
+integration oracle (``tests/jrd_oracle.py``), an independent route to the
+same quantity.
 
 All entropies are in nats. Order-2 Renyi entropy has a closed form for
 Gaussian mixtures: the integral of a squared mixture density reduces to
-pairwise Gaussian cross terms. Note the divergence is NOT nonnegative in
-general; with strongly heterogeneous component variances it can go below
-zero (see tests for a witness case).
+pairwise Gaussian cross terms. The cross term of members i and j is
+symmetric bit for bit, so it is computed once per pair i <= j and mirrored.
+Note the divergence is NOT nonnegative in general; with strongly
+heterogeneous component variances it can go below zero (see tests for a
+witness case).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import ShapeError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def jrd_oracle_1d(means, variances, span: float = 12.0,
-                  step: float = 1e-3) -> float:
-    """Numeric-integration oracle for one d=1 mixture of B members.
-
-    ``means`` and ``variances`` are 1-D arrays of length B. Both entropy
-    terms are recomputed by trapezoid integration of squared densities on a
-    uniform grid covering every component mean +- span standard deviations,
-    so the value is independent of the closed form in ``jrd_batch``. With the
-    default grid the absolute error is far below 1e-8 for variances in
-    [0.05, 10] and means within a few units of each other. Returns 0.0 for a
-    single member, as ``jrd_batch`` does.
-    """
-    means = np.asarray(means, dtype=np.float64)
-    sds = np.sqrt(np.asarray(variances, dtype=np.float64))
-    if means.shape != sds.shape or means.ndim != 1:
-        raise ShapeError("oracle expects matching 1-D (B,) arrays, d=1 only")
-    if means.size < 2:
-        return 0.0
-    lo = float(np.min(means - span * sds))
-    hi = float(np.max(means + span * sds))
-    x = np.arange(lo, hi + step, step)
-
-    def h2_of(density: np.ndarray) -> float:
-        return float(-np.log(np.trapezoid(density * density, x)))
-
-    pdf_each = [np.exp(-0.5 * (x - mu) ** 2 / sd**2) / (np.sqrt(2 * np.pi) * sd)
-                for mu, sd in zip(means, sds)]
-    mix = sum(pdf_each) / means.size
-    return h2_of(mix) - sum(h2_of(p) for p in pdf_each) / means.size
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
@@ -64,6 +37,29 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         out += x[..., k]
     return out
+
+
+_upper_pairs = functools.cache(np.triu_indices)
+_LOG_Z_STRIDES: dict = {}  # (shape, means strides, variances strides) -> strides
+
+
+def _empty_log_z(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """An empty (N, B, B) array with the memory layout that the all-pairs
+    log z expression gives for inputs of these strides. The layout sets the
+    add order of the log-sum-exp, so it is found once per input layout by
+    running the expression's broadcasts."""
+    n, b, d = means.shape
+    key = (means.shape, means.strides, variances.strides)
+    if key not in _LOG_Z_STRIDES:
+        with np.errstate(all="ignore"):
+            s = variances[:, :, None, :] + variances[:, None, :, :]
+            quad = means[:, :, None, :] - means[:, None, :, :]
+            log_z = -0.5 * d * LOG_2PI - 0.5 * _sum_last(s) - 0.5 * _sum_last(quad)
+        if len(_LOG_Z_STRIDES) >= 64:
+            _LOG_Z_STRIDES.clear()
+        _LOG_Z_STRIDES[key] = log_z.strides
+    return np.ndarray((n, b, b), buffer=np.empty(n * b * b),
+                      strides=_LOG_Z_STRIDES[key])
 
 
 def jrd_batch(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -81,14 +77,22 @@ def jrd_batch(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     n, b, d = means.shape
     if b == 1:
         return np.zeros(n)
-    # log z_ij over all ordered pairs: (N, B, B)
-    s = variances[:, :, None, :] + variances[:, None, :, :]
-    quad = means[:, :, None, :] - means[:, None, :, :]
+    # log z_ij once per pair i <= j, member-major: (P, N)
+    iu, ju = _upper_pairs(b)
+    m, v = means.transpose(1, 0, 2), variances.transpose(1, 0, 2)
+    s = v[iu]
+    s += v[ju]
+    quad = m[iu]
+    quad -= m[ju]
     quad *= quad
     quad /= s
-    log_z = (-0.5 * d * LOG_2PI
-             - 0.5 * _sum_last(np.log(s, out=s))
-             - 0.5 * _sum_last(quad))
+    pair = (-0.5 * d * LOG_2PI
+            - 0.5 * _sum_last(np.log(s, out=s))
+            - 0.5 * _sum_last(quad))
+    log_z = _empty_log_z(means, variances)
+    by_pair = log_z.transpose(1, 2, 0)
+    by_pair[iu, ju] = pair
+    by_pair[ju, iu] = pair
     flat = log_z.reshape(n, b * b)
     peak = np.max(flat, axis=1)
     h_mix = -(peak + np.log(np.sum(np.exp(flat - peak[:, None]), axis=1))) + 2.0 * np.log(b)

@@ -9,9 +9,10 @@ exploration (maximize accumulated ensemble disagreement) and deployment
 Rollouts propagate each particle with one fixed ensemble member's mean
 increment while all members are consulted every step for the disagreement
 mixture; the K rollouts are evaluated as one vectorized batch, which is
-order-insensitive and deterministically reduced by construction. Per-sample
-noise streams depend only on (seed, step, sample), so results never depend
-on scheduling.
+order-insensitive and deterministically reduced by construction. Sample k
+of control step t draws its noise from ``default_rng([seed, t, k])``, so
+results never depend on scheduling; ``sample_perturbations`` builds that
+entropy for all K samples at once, as SeedSequence would from the list.
 
 Precision: only the members' forward passes run in float32, on a copy of the
 model cast once per control step. Their outputs are upcast before the
@@ -99,14 +100,24 @@ class CostSpec:
 def sample_perturbations(cfg: MppiConfig, step_index: int = 0) -> np.ndarray:
     """(K, T, 2) zero-mean Gaussian noise with per-channel std cfg.sigma.
 
-    Sample k's stream depends only on (seed, step_index, k), so any degree of
-    per-sample parallelism reproduces the same tensor.
+    Sample k draws from ``default_rng([cfg.seed, step_index, k])``, so any
+    degree of per-sample parallelism reproduces the same tensor. The K
+    entropy rows are built at once, as ``SeedSequence`` builds each from
+    that list: the little-endian 32-bit words of each int (0 gives one word).
     """
-    sigma = np.asarray(cfg.sigma, dtype=np.float64)
+    if cfg.seed < 0 or step_index < 0:
+        raise ValueError(f"expected non-negative seed and step, got "
+                         f"{cfg.seed} and {step_index}")
+    words = [(x >> i) & 0xFFFFFFFF for x in (int(cfg.seed), int(step_index))
+             for i in range(0, max(x.bit_length(), 1), 32)]
+    entropy = np.empty((cfg.k, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(cfg.k)
     noise = np.empty((cfg.k, cfg.horizon, 2))
-    for k in range(cfg.k):
-        rng = np.random.default_rng([cfg.seed, step_index, k])
-        noise[k] = rng.standard_normal((cfg.horizon, 2)) * sigma
+    for row, out in zip(entropy, noise):
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))
+                            ).standard_normal(out=out)
+    noise *= np.asarray(cfg.sigma, dtype=np.float64)
     return noise
 
 

@@ -67,13 +67,11 @@ class ForwardCache:
     ``inputs[k]`` is the input to layer k, so ``inputs[k + 1]`` is hidden
     layer k's activation, from which ``mlp_backward`` takes the activation's
     derivative. ``output`` is the final (linear) layer's batch output.
-    ``squeeze`` records whether the original input was a single vector rather
-    than a batch. Every array is one the pass computes anyway.
+    Every array is one the pass computes anyway.
     """
 
     inputs: list[np.ndarray]
     output: np.ndarray
-    squeeze: bool
 
 
 # Adam hyperparameters; only the learning rate is configurable.
@@ -137,20 +135,16 @@ def init_params(layer_sizes: list[int], activation: str = "tanh",
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector or a (batch, in_dim) matrix.
+    """Run the network on a (batch, in_dim) matrix.
 
     The input is cast to the first layer's weight dtype, so float32
     parameters give a float32 pass and float64 parameters a float64 one.
-    Returns the output (matching the input's ndim) and a cache for
-    ``mlp_backward``.
+    Returns the (batch, out_dim) output and a cache for ``mlp_backward``.
     """
     x = np.asarray(x, dtype=params.layers[0].weights.dtype)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.layers[0].in_dim:
-        raise ShapeError(
-            f"input dim {x.shape[-1]} != first layer in_dim {params.layers[0].in_dim}")
+        raise ShapeError(f"expected a (batch, {params.layers[0].in_dim}) "
+                         f"input, got shape {x.shape}")
     inputs = []
     h = x
     last = len(params.layers) - 1
@@ -163,23 +157,20 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
                 np.tanh(h, out=h)
             elif params.activation == "relu":
                 np.maximum(h, 0.0, out=h)
-    out = h[0] if squeeze else h
-    return out, ForwardCache(inputs=inputs, output=h, squeeze=squeeze)
+    return h, ForwardCache(inputs=inputs, output=h)
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
                  output_grad: np.ndarray) -> list[LayerParams]:
     """Exact reverse-mode gradients for the scalar whose output gradient is given.
 
-    ``output_grad`` has the shape of the forward output; for batches the
-    parameter gradients are summed over the batch. The activation's derivative
+    ``output_grad`` has the shape of the forward output; the parameter
+    gradients are summed over the batch. The activation's derivative
     comes from the activations the cache holds: ``1 - a*a`` for tanh,
     ``a > 0`` for relu and one for identity. Returns per-layer grads (in
     LayerParams containers); the gradient w.r.t. the input is not computed.
     """
     g = np.asarray(output_grad, dtype=np.float64)
-    if cache.squeeze:
-        g = g[None, :]
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers:
         raise ShapeError("cache does not match network depth")

@@ -18,6 +18,10 @@ The entries:
   change that only moves the bits of 512-row calls.
 - ``train_checkpoint``: the checkpoint file of a 2-epoch, batch-512 training
   run on fixed synthetic windows.
+- ``train_set_jrd``: that checkpoint's disagreement at 1100 of those windows,
+  as the training-set threshold computes it: in row blocks of 512 and 588.
+  Blocks of 512, 512 and 76 would change bits, since OpenBLAS rounds a short
+  block differently.
 - ``c9_tree/<path>``: every file of the acceptance C9 ``run_all`` tree
   (its tiny overrides, seed 7).
 """
@@ -38,7 +42,7 @@ sys.path.insert(0, str(HERE.parent))
 
 from test_acceptance import TINY_OVERRIDES, run_all  # noqa: E402
 
-from penn_mpc import config, data, dynamics, mppi, sim  # noqa: E402
+from penn_mpc import commands, config, data, dynamics, mppi, sim  # noqa: E402
 
 H, B, HIDDEN = 4, 5, [64, 64]
 LOOP_STEPS = 3
@@ -116,12 +120,15 @@ def fingerprints(work: Path) -> dict:
         model, mppi.CostSpec(mode="deploy_safe", jrd_threshold=0.06,
                              track=track), track, seed=4)
 
-    ds = data.split(_synthetic_windows(1500), 0.7, seed=5)
+    windows = _synthetic_windows(1500)
+    ds = data.split(windows, 0.7, seed=5)
     fresh = dynamics.build_model(h=H, b=B, hidden=HIDDEN, seed=6)
     trained, _ = dynamics.train(fresh, ds.train, ds.test, dynamics.TrainConfig(
         epochs=2, batch_size=512, seed=6))
     dynamics.save_checkpoint(trained, work / "checkpoint.json")
     out["train_checkpoint"] = _sha((work / "checkpoint.json").read_bytes())
+    out["train_set_jrd"] = _sha(
+        commands._ensemble_jrd(trained, windows.pairs[:1100]).tobytes())
 
     tree = work / "c9"
     run_all(config.load_config(None, TINY_OVERRIDES + ["seed=7"]), tree)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jrd_oracle import jrd_oracle_1d
 
 from penn_mpc import commands, config, data, dynamics, jrd, mppi, nn, sim
 
@@ -105,7 +106,7 @@ def test_c2a_jrd_oracle_agreement():
                           for _ in range(b)])
         means, varis = draws[:, 0], draws[:, 1]
         closed = jrd.jrd_batch(means[None, :, None], varis[None, :, None])[0]
-        worst = max(worst, abs(closed - jrd.jrd_oracle_1d(means, varis)))
+        worst = max(worst, abs(closed - jrd_oracle_1d(means, varis)))
     _report("2a", worst < 1e-6, f"max |closed - oracle| = {worst:.2e}")
 
 
@@ -117,7 +118,7 @@ def test_c2b_jrd_fixture_literal_value():
     passes test_c2a; it fails by design to document the discrepancy."""
     means, varis = np.array([0.0, 2.0]), np.array([1.0, 1.0])
     closed = jrd.jrd_batch(means[None, :, None], varis[None, :, None])[0]
-    oracle = jrd.jrd_oracle_1d(means, varis)
+    oracle = jrd_oracle_1d(means, varis)
     assert abs(closed - oracle) < 1e-9  # the two routes agree
     ok = abs(closed - 0.3801441) < 1e-6
     _report("2b", ok,

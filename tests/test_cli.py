@@ -565,6 +565,23 @@ _CONFIG_ERRORS = {
         tiny_cfg("explore.warmup_steps=-1"), out),
     "explore_steps_per_round_negative": lambda out: commands.cmd_explore(
         tiny_cfg("explore.steps_per_round=-1"), out),
+    "train_lr_negative": lambda out: commands.cmd_train(
+        tiny_cfg("train.lr=-1"), out, data_dir="no-data"),
+    "train_lr_zero": lambda out: commands.cmd_train(
+        tiny_cfg("train.lr=0"), out, data_dir="no-data"),
+    "train_split_ratio_one": lambda out: commands.cmd_train(
+        tiny_cfg("train.split_ratio=1"), out, data_dir="no-data"),
+    "train_split_ratio_zero": lambda out: commands.cmd_train(
+        tiny_cfg("train.split_ratio=0"), out, data_dir="no-data"),
+    "deploy_penalty_big_negative": lambda out: commands.cmd_deploy(
+        tiny_cfg("costs.penalty_big=-1"), out, checkpoint_path="no-ckpt.json",
+        data_dir="no-data", mode="safe"),
+    "deploy_w_track_negative": lambda out: commands.cmd_deploy(
+        tiny_cfg("costs.w_track=-0.5"), out, checkpoint_path="no-ckpt.json",
+        mode="direct"),
+    "deploy_laps_negative": lambda out: commands.cmd_deploy(
+        tiny_cfg("deploy.laps=-1"), out, checkpoint_path="no-ckpt.json",
+        mode="direct"),
 }
 
 

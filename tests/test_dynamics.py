@@ -3,7 +3,7 @@ evaluation pooling, and checkpoint persistence."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from penn_mpc import commands, config, data, mppi, nn
@@ -62,7 +62,7 @@ def test_build_input_constant_feature_floored():
     model = _stub_model(h=3, b=1, stats=stats)
     means, varis = model.delta_batch(_one(w))
     out, _ = nn.mlp_forward(model.members[0], np.zeros((1, 15)))
-    mu_n, var_n = model._split_head(out)
+    mu_n, var_n = _head(model, out)
     assert np.array_equal(means[0], mu_n * stats.target_std + stats.target_mean)
     assert np.array_equal(varis[0], var_n * stats.target_std**2)
 
@@ -138,7 +138,7 @@ def test_predict_ensemble_member_order():
     means, varis = model.delta_batch(_one(w))
     for i in range(4):
         out, _ = nn.mlp_forward(model.members[i], w.pairs.reshape(1, -1))
-        mu_n, var_n = model._split_head(out)
+        mu_n, var_n = _head(model, out)
         assert np.array_equal(means[i], mu_n)  # identity stats
         assert np.array_equal(varis[i], var_n)
 
@@ -240,10 +240,20 @@ def test_bound_variance_matches_masked_formula():
             assert np.array_equal(g, w, equal_nan=True)
 
 
+def _head(model, out):
+    """Normalized increment means and bounded variances of one member's
+    (N, outputs) forward output, through ``bound_variance`` (which also
+    computes the unused derivative)."""
+    if model.mode == "deterministic":
+        return out, np.full(out.shape, model.var_min)
+    var_n, _ = dyn.bound_variance(out[..., 3:], model.var_min, model.var_max)
+    return out[..., :3], var_n
+
+
 def _reference_delta_batch(model, pairs):
-    """``delta_batch`` de-normalizing out of place through ``bound_variance``
-    (which also computes the unused derivative), as it was first written,
-    with the features joined pair by pair: (s0, a0, s1, a1, ...)."""
+    """``delta_batch`` with the head and the de-normalization run member by
+    member, out of place, as it was first written, and the features joined
+    pair by pair: (s0, a0, s1, a1, ...)."""
     n = pairs.shape[0]
     flat = np.concatenate([pairs[:, j] for j in range(pairs.shape[1])], axis=1)
     feats = (flat - model.stats.input_mean) / model.stats.input_std
@@ -251,12 +261,7 @@ def _reference_delta_batch(model, pairs):
     varis = np.empty_like(means)
     for i, params in enumerate(model.members):
         out, _ = nn.mlp_forward(params, feats)
-        if model.mode == "deterministic":
-            mu_n, var_n = out, np.full(out.shape, model.var_min)
-        else:
-            mu_n = out[..., :3]
-            var_n, _ = dyn.bound_variance(out[..., 3:], model.var_min,
-                                          model.var_max)
+        mu_n, var_n = _head(model, np.asarray(out, dtype=np.float64))
         means[i] = mu_n * model.stats.target_std + model.stats.target_mean
         varis[i] = var_n * model.stats.target_std**2
     return means, varis
@@ -266,27 +271,40 @@ def _reference_delta_batch(model, pairs):
 @given(seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from(["probabilistic", "deterministic"]),
        activation=st.sampled_from(nn.ACTIVATIONS),
-       n=st.sampled_from([1, 2, 512]), scale=st.sampled_from([1.0, 1e3]),
-       dtype=st.sampled_from([np.float64, np.float32]))
-def test_delta_batch_matches_reference(seed, mode, activation, n, scale,
-                                       dtype):
-    """A 5-member ``delta_batch`` is bit-identical to the reference formula;
-    ``scale`` drives raw variance outputs into both saturated ends. For a
-    float32 copy the reference's head and de-normalization run in float64
-    on the float32 forward output, as ``delta_batch``'s must."""
+       hidden=st.sampled_from([[16, 16], [64, 64]]),
+       n=st.sampled_from([1, 2, 512, 1100]), scale=st.sampled_from([1.0, 1e3]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       bad_rows=st.booleans())
+@example(seed=0, mode="probabilistic", activation="tanh", hidden=[64, 64],
+         n=512, scale=1.0, dtype=np.float32, bad_rows=True)
+def test_delta_batch_matches_reference(seed, mode, activation, hidden, n,
+                                       scale, dtype, bad_rows):
+    """A 5-member ``delta_batch``, whose head runs once over all members, is
+    bit-identical to the per-member reference formula, NaN-equal, with rows
+    holding NaN and inf; ``scale`` drives raw variance outputs into both
+    saturated ends. For a float32 copy the reference's head and
+    de-normalization run in float64 on the float32 forward output, as
+    ``delta_batch``'s must."""
     rng = np.random.default_rng(seed)
     stats = dyn.NormStats(rng.normal(size=20), rng.uniform(0.1, 3.0, 20),
                           rng.normal(size=3), rng.uniform(1e-3, 2.0, 3))
-    model = dyn.build_model(h=4, b=5, hidden=[16, 16], mode=mode,
+    model = dyn.build_model(h=4, b=5, hidden=hidden, mode=mode,
                             activation=activation, seed=seed,
                             stats=stats).astype(dtype)
     pairs = np.concatenate([rng.normal(scale=scale, size=(n, 4, 3)),
                             rng.uniform(-1.0, 1.0, size=(n, 4, 2))], axis=2)
-    got = model.delta_batch(pairs)
-    want = _reference_delta_batch(model, pairs)
+    if bad_rows:
+        rows = rng.integers(0, n, size=3)
+        pairs[rows[0], 0, 0] = np.nan
+        pairs[rows[1], -1, 1] = np.inf
+        pairs[rows[2], -1, 3] = -np.inf
+    with np.errstate(all="ignore"):
+        got = model.delta_batch(pairs)
+        want = _reference_delta_batch(model, pairs)
     for g, w in zip(got, want):
         assert g.shape == (5, n, 3)
-        assert np.array_equal(g, w)
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w, equal_nan=True)
 
 
 @pytest.fixture(scope="module")
@@ -536,7 +554,7 @@ def test_normalization_consistency():
     means, varis = model.delta_batch(_one(raw_window))
     feats = (raw_window.pairs.reshape(-1) - stats.input_mean) / stats.input_std
     out, _ = nn.mlp_forward(model.members[0], feats[None])
-    mu_n, var_n = model._split_head(out)
+    mu_n, var_n = _head(model, out)
     assert np.all(np.abs(means[0] - (mu_n * stats.target_std
                                      + stats.target_mean)) < 1e-9)
     assert np.all(np.abs(varis[0] - var_n * stats.target_std**2) < 1e-9)

@@ -93,6 +93,29 @@ def test_sample_perturbations_per_sample_streams():
         assert np.array_equal(noise[k], slice_k)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]),
+       step=st.one_of(st.integers(0, 3), st.integers(0, 2**33)),
+       k=st.sampled_from([2, 17, 512]), horizon=st.sampled_from([1, 3, 25]))
+def test_sample_perturbations_match_default_rng_streams(seed, step, k,
+                                                        horizon):
+    """The entropy rows built at once give, bit for bit, the tensor of a
+    per-sample ``default_rng([seed, step, k])`` loop, for seeds and step
+    indices of one, two and three 32-bit words."""
+    sigma = (0.3, 0.7)
+    cfg = mppi.MppiConfig(k=k, horizon=horizon, sigma=sigma, seed=seed)
+    want = np.stack([np.random.default_rng([seed, step, j]).standard_normal(
+        (horizon, 2)) * np.array(sigma) for j in range(k)])
+    assert np.array_equal(mppi.sample_perturbations(cfg, step), want)
+
+
+def test_sample_perturbations_reject_negative_seed():
+    with pytest.raises(ValueError):
+        mppi.sample_perturbations(mppi.MppiConfig(k=2, seed=-1))
+    with pytest.raises(ValueError):
+        mppi.sample_perturbations(mppi.MppiConfig(k=2), step_index=-3)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         mppi.MppiConfig(k=1)
